@@ -4,8 +4,14 @@ This subpackage reimplements the small amount of classical signal processing
 the paper's acquisition chain needs — IIR Butterworth design via the bilinear
 transform, zero-phase filtering, anti-aliased decimation, full-wave
 rectification, Welch PSD estimation and linear-envelope extraction — without
-depending on scipy.  The test suite cross-checks the filter implementations
-against scipy as an oracle.
+depending on scipy.
+
+Filters run as cascades of second-order sections over fixed blocks of
+samples: each block is a matrix product, and a Python loop only carries each
+section's two-element state from block to block (see
+:mod:`repro.signal.filters`).  The test suite checks the kernel against the
+per-sample difference-equation loop kept in ``tests/signal/iir_oracle.py``
+and against ``scipy.signal``.
 """
 
 from repro.signal.filters import (
@@ -14,7 +20,6 @@ from repro.signal.filters import (
     butter_highpass,
     butter_lowpass,
     filtfilt,
-    lfilter,
 )
 from repro.signal.envelope import linear_envelope, moving_average
 from repro.signal.notch import notch_filter
@@ -28,7 +33,6 @@ __all__ = [
     "butter_highpass",
     "butter_lowpass",
     "filtfilt",
-    "lfilter",
     "notch_filter",
     "linear_envelope",
     "moving_average",

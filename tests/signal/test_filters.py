@@ -2,22 +2,24 @@
 
 The library itself never imports scipy; these tests do, to prove the
 from-scratch implementations match the reference within float tolerance.
+``lfilter`` and ``lfilter_zi`` are the per-sample oracle in
+``tests/signal/iir_oracle.py``; pinning them to scipy here is what lets the
+kernel tests in ``test_filter_kernel.py`` trust them.
 """
 
 import numpy as np
 import pytest
 import scipy.signal as ss
 
-from repro.errors import SignalError
+from repro.errors import SignalError, ValidationError
 from repro.signal.filters import (
     IIRFilter,
     butter_bandpass,
     butter_highpass,
     butter_lowpass,
     filtfilt,
-    lfilter,
-    lfilter_zi,
 )
+from tests.signal.iir_oracle import lfilter, lfilter_zi
 
 
 class TestDesignAgainstScipy:
@@ -168,6 +170,35 @@ class TestFiltfilt:
         assert filtfilt(filt.b, filt.a, np.zeros(0)).size == 0
 
 
+class TestFiltfiltRejectsBadInput:
+    """Bad input raises a typed error instead of a numpy one or NaN output."""
+
+    filt = butter_lowpass(10.0, 1000.0, order=4)
+
+    def test_nan_sample(self, rng):
+        x = rng.normal(size=200)
+        x[57] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            filtfilt(self.filt.b, self.filt.a, x)
+
+    @pytest.mark.parametrize("axis", [2, -3])
+    def test_axis_out_of_range(self, rng, axis):
+        with pytest.raises(SignalError, match="axis"):
+            filtfilt(self.filt.b, self.filt.a, rng.normal(size=(50, 2)), axis=axis)
+
+    def test_non_numeric_input(self):
+        with pytest.raises(ValidationError):
+            filtfilt(self.filt.b, self.filt.a, np.array(["a", "b", "c"]))
+
+    def test_empty_numerator(self):
+        with pytest.raises(SignalError, match="empty"):
+            IIRFilter(b=[], a=[1.0])
+
+    def test_pole_at_one_has_no_steady_state(self, rng):
+        with pytest.raises(SignalError, match="pole at z = 1"):
+            filtfilt([1.0], [1.0, -1.0], rng.normal(size=50))
+
+
 class TestIIRFilterClass:
     def test_normalizes_a0(self):
         filt = IIRFilter(b=[2.0, 0.0], a=[2.0, 1.0])
@@ -184,4 +215,5 @@ class TestIIRFilterClass:
     def test_apply_equals_lfilter(self, rng):
         filt = butter_lowpass(10.0, 1000.0, order=2)
         x = rng.normal(size=100)
-        np.testing.assert_allclose(filt.apply(x), lfilter(filt.b, filt.a, x))
+        want = lfilter(filt.b, filt.a, x)
+        assert np.max(np.abs(filt.apply(x) - want)) <= 1e-8 * np.max(np.abs(want))

@@ -55,7 +55,11 @@ def test_exported_items_are_documented(module_name):
 
 
 def test_library_does_not_import_scipy():
-    """The library is numpy-only; scipy is a test oracle exclusively."""
+    """The library is numpy-only; scipy is a test oracle exclusively.
+
+    Filtering runs too, so a lazy ``import scipy.signal`` inside a filter
+    kernel fails here as well as an eager one at import time.
+    """
     import subprocess
     import sys
 
@@ -63,6 +67,15 @@ def test_library_does_not_import_scipy():
         "import sys; sys.modules['scipy'] = None\n"
         "import repro, repro.signal, repro.core, repro.eval, repro.retrieval\n"
         "import repro.baselines, repro.emg, repro.mocap, repro.cli\n"
+        "import numpy as np\n"
+        "from repro.emg import EMGRecording, Myomonitor\n"
+        "from repro.signal import butter_bandpass\n"
+        "rng = np.random.default_rng(0)\n"
+        "raw = EMGRecording(channels=('a', 'b'), fs=1000.0,\n"
+        "                   data_volts=1e-4 * rng.normal(size=(500, 2)))\n"
+        "assert Myomonitor().condition(raw).data_volts.shape[1] == 2\n"
+        "y = butter_bandpass(20.0, 450.0, 1000.0).apply_zero_phase(rng.normal(size=300))\n"
+        "assert np.all(np.isfinite(y))\n"
         "print('clean')"
     )
     proc = subprocess.run(
