@@ -157,9 +157,8 @@ def run_point(train, test, window_ms: float, n_clusters: int, **kwargs):
     )
 
 
-def _sweep_cached(study: str, train, test) -> SweepResult:
-    """Full figure sweep with a JSON disk cache."""
-    CACHE_DIR.mkdir(exist_ok=True)
+def sweep_cache_file(study: str) -> Path:
+    """The JSON disk cache of one study's full figure sweep."""
     key = (
         f"sweep_{study}_w{'-'.join(str(int(w)) for w in WINDOW_SIZES_MS)}"
         f"_c{'-'.join(str(c) for c in CLUSTER_GRID)}"
@@ -167,7 +166,13 @@ def _sweep_cached(study: str, train, test) -> SweepResult:
         f"_p{N_PARTICIPANTS}_t{TRIALS_PER_MOTION}"
         f"_ds{DATASET_SEED}_sp{SPLIT_SEED}_f{FIT_SEED}"
     )
-    cache_file = CACHE_DIR / f"{key}.json"
+    return CACHE_DIR / f"{key}.json"
+
+
+def _sweep_cached(study: str, train, test) -> SweepResult:
+    """Full figure sweep with a JSON disk cache."""
+    CACHE_DIR.mkdir(exist_ok=True)
+    cache_file = sweep_cache_file(study)
     if cache_file.exists():
         rows = json.loads(cache_file.read_text())
         return SweepResult(results=tuple(

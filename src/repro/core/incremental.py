@@ -24,7 +24,6 @@ import numpy as np
 from repro.core.model import MotionClassifier, RetrievedNeighbor
 from repro.data.record import RecordedMotion
 from repro.errors import NotFittedError, RetrievalError
-from repro.fuzzy.membership import membership_matrix
 from repro.retrieval.dynamic import DynamicIDistanceIndex
 from repro.retrieval.knn import knn_vote
 from repro.utils.validation import check_in_range
@@ -104,19 +103,15 @@ class IncrementalMotionDatabase:
     def add(self, record: RecordedMotion) -> int:
         """Add a motion online; returns its database id.
 
-        The signature is computed against the frozen FCM centers (Eq. 9),
-        exactly as for a query.
+        The signature is the classifier's query signature against the frozen
+        centers (:meth:`MotionClassifier.signature`), so an added motion and
+        the same motion queried later get the same vector under either
+        clusterer.
         """
         if record.key in self._keys_in_db:
             raise RetrievalError(f"motion {record.key!r} is already indexed")
-        model = self.classifier
-        features = model.featurizer.features(record)
-        scaled = model.scaler.transform(features.matrix)
-        memberships = membership_matrix(scaled, model.centers, m=model.m)
-        self._added_memberships.extend(memberships.max(axis=1).tolist())
-        from repro.core.signature import motion_signature
-
-        signature = motion_signature(memberships, model.n_clusters)
+        signature = self.classifier.signature(record)
+        self._added_memberships.extend(signature.window_memberships.tolist())
         vid = self._index.insert(signature.vector)
         self._entries[vid] = _Entry(key=record.key, label=record.label)
         self._keys_in_db.add(record.key)

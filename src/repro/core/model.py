@@ -55,6 +55,7 @@ from repro.retrieval.linear import LinearScanIndex
 from repro.robust.featurize import RobustFeaturizer
 from repro.robust.policy import DegradationPolicy, resolve_policy
 from repro.robust.report import DegradationReport
+from repro.utils.distances import squared_distances
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive_int
 
@@ -375,8 +376,7 @@ class MotionClassifier:
             memberships = membership_matrix(scaled, self._centers, m=self.m)
         else:
             # Crisp ablation: one-hot membership of the nearest center.
-            diff = scaled[:, None, :] - self._centers[None, :, :]
-            d2 = np.einsum("ncd,ncd->nc", diff, diff)
+            d2 = squared_distances(scaled, self._centers)
             memberships = np.zeros_like(d2)
             memberships[np.arange(d2.shape[0]), np.argmin(d2, axis=1)] = 1.0
         if self._health is not None:

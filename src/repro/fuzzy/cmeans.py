@@ -18,6 +18,11 @@ memberships, by alternating:
 until the objective improvement falls below ``tol`` or ``max_iter`` passes.
 The fuzzifier defaults to ``m = 2`` — the paper: "parameter m is chosen in
 range of [1, ∞] ... we choose m = 2 as it is most widely used".
+
+Every iteration makes one pass of :func:`squared_distances`, the shared
+matrix-product kernel of :mod:`repro.utils.distances` (re-exported here),
+which feeds both the membership update and the objective.  It matches a
+naive loop within a documented band rather than bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from repro.obs.config import (
     record_series,
     span,
 )
+from repro.utils.distances import squared_distances
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_array, check_in_range, check_positive_int, shapes
 
@@ -219,44 +225,11 @@ class FuzzyCMeans:
         denom = np.where(denom < _EPS, 1.0, denom)
         return (weights.T @ x) / denom[:, None]
 
-    def _memberships(self, x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        d2 = squared_distances(x, centers)
-        return membership_from_distances(d2, self.m)
-
     def _objective(
         self, x: np.ndarray, centers: np.ndarray, membership: np.ndarray
     ) -> float:
         d2 = squared_distances(x, centers)
         return float(np.sum((membership**self.m) * d2))
-
-
-#: Upper bound on the elements of the ``(block, c, d)`` broadcast temporary
-#: used by :func:`squared_distances` — 2M float64 elements keeps each block's
-#: scratch around 16 MB so large window matrices stay cache-friendly instead
-#: of materializing an ``(n, c, d)`` cube.
-_DISTANCE_BLOCK_ELEMS = 2_000_000
-
-
-@shapes(x="(n, d)", centers="(c, d)")
-def squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, shape ``(n, c)``.
-
-    Computed blockwise over the points axis: each ``(block, c)`` tile is the
-    same difference-and-einsum reduction as the one-shot formula, so the
-    result is bit-identical for every block size while the temporary stays
-    bounded (the one-shot path would materialize ``(n, c, d)``).
-    """
-    n = x.shape[0]
-    c, d = centers.shape
-    block = max(1, _DISTANCE_BLOCK_ELEMS // max(1, c * d))
-    if n <= block:
-        diff = x[:, None, :] - centers[None, :, :]
-        return np.einsum("ncd,ncd->nc", diff, diff)
-    out = np.empty((n, c))
-    for start in range(0, n, block):
-        tile = x[start:start + block, None, :] - centers[None, :, :]
-        np.einsum("ncd,ncd->nc", tile, tile, out=out[start:start + block])
-    return out
 
 
 @shapes(d2="(n, c)")

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ClusteringError
-from repro.fuzzy.cmeans import squared_distances
+from repro.utils.distances import squared_distances
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_array, check_in_range, check_positive_int
 

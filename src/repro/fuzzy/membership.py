@@ -20,8 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ClusteringError
-from repro.fuzzy.cmeans import membership_from_distances, squared_distances
+from repro.fuzzy.cmeans import membership_from_distances
 from repro.obs.config import span
+from repro.utils.distances import squared_distances
 from repro.utils.validation import check_array, check_in_range
 
 __all__ = ["membership_matrix"]
@@ -48,10 +49,11 @@ def membership_matrix(
 
     Notes
     -----
-    Operates on the whole window matrix at once: one blockwise pairwise
-    distance pass plus one vectorized membership update (the kernels shared
-    with :class:`~repro.fuzzy.cmeans.FuzzyCMeans`), so Eq. 9 queries cost
-    the same per window as a single fit iteration.
+    Operates on the whole window matrix at once: one matrix-product
+    distance pass (:func:`~repro.utils.distances.squared_distances`) plus
+    one vectorized membership update, the kernels shared with
+    :class:`~repro.fuzzy.cmeans.FuzzyCMeans`, so Eq. 9 queries cost the
+    same per window as a single fit iteration.
     """
     points = check_array(points, name="points", ndim=2, allow_empty=False)
     centers = check_array(centers, name="centers", ndim=2, allow_empty=False)

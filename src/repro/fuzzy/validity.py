@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ClusteringError
+from repro.utils.distances import squared_distances
 from repro.utils.validation import check_array
 
 __all__ = ["partition_coefficient", "partition_entropy", "xie_beni_index"]
@@ -63,9 +64,7 @@ def xie_beni_index(
         )
     if v.shape[0] < 2:
         raise ClusteringError("Xie-Beni needs at least two centers")
-    diff = x[:, None, :] - v[None, :, :]
-    d2 = np.einsum("ncd,ncd->nc", diff, diff)
-    compactness = float(np.sum((u**m) * d2))
+    compactness = float(np.sum((u**m) * squared_distances(x, v)))
     center_diff = v[:, None, :] - v[None, :, :]
     center_d2 = np.einsum("ijd,ijd->ij", center_diff, center_diff)
     np.fill_diagonal(center_d2, np.inf)

@@ -48,6 +48,7 @@ import numpy as np
 from repro.errors import SerializationError, ValidationError
 from repro.obs.config import record_counter, record_gauge, record_histogram
 from repro.utils.atomicio import atomic_write
+from repro.utils.distances import squared_distances
 from repro.utils.validation import check_array, shapes
 
 __all__ = [
@@ -71,24 +72,6 @@ BASELINE_SCHEMA_VERSION = "repro.obs.baseline/v1"
 
 #: Numerical floor for standard deviations and entropies.
 _EPS = 1e-12
-
-
-@shapes(x="(n, d)", centers="(c, d)")
-def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Blockwise pairwise squared Euclidean distances, shape ``(n, c)``.
-
-    A local copy of the FCM distance kernel so this module stays free of
-    pipeline imports (``repro.obs`` sits below ``repro.fuzzy``); identical
-    arithmetic, bounded temporaries.
-    """
-    n = x.shape[0]
-    c, d = centers.shape
-    block = max(1, 2_000_000 // max(1, c * d))
-    out = np.empty((n, c))
-    for start in range(0, n, block):
-        tile = x[start:start + block, None, :] - centers[None, :, :]
-        np.einsum("ncd,ncd->nc", tile, tile, out=out[start:start + block])
-    return out
 
 
 @shapes(membership="(n, c)")
@@ -168,7 +151,7 @@ class BaselineSnapshot:
                               allow_empty=False)
         membership = check_array(membership, name="membership", ndim=2,
                                  allow_empty=False)
-        d2 = _squared_distances(scaled, centers)
+        d2 = squared_distances(scaled, centers)
         objective = float(np.sum((membership ** m) * d2))
         return cls(
             feature_means=scaled.mean(axis=0),
@@ -301,7 +284,7 @@ def signals_from_query(
     centers = check_array(centers, name="centers", ndim=2, allow_empty=False)
     membership = check_array(membership, name="membership", ndim=2,
                              allow_empty=False)
-    d2 = _squared_distances(scaled, centers)
+    d2 = squared_distances(scaled, centers)
     objective = float(np.sum((membership ** m) * d2))
     return QuerySignals(
         max_membership_mean=float(membership.max(axis=1).mean()),

@@ -1,6 +1,8 @@
-"""Shared low-level helpers: validation, RNG plumbing, window arithmetic."""
+"""Shared low-level helpers: validation, RNG plumbing, window arithmetic and
+the pairwise squared-distance kernel."""
 
 from repro.utils.atomicio import atomic_write
+from repro.utils.distances import squared_distances
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.validation import (
     check_array,
@@ -20,6 +22,7 @@ from repro.utils.windows import (
 
 __all__ = [
     "atomic_write",
+    "squared_distances",
     "as_generator",
     "spawn_generators",
     "check_array",

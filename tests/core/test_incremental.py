@@ -9,10 +9,14 @@ from repro.errors import NotFittedError, RetrievalError
 
 
 @pytest.fixture
-def fitted(toy_dataset):
-    return MotionClassifier(n_clusters=4, window_ms=100.0).fit(
-        toy_dataset, seed=0
-    )
+def clusterer():
+    return "fcm"
+
+
+@pytest.fixture
+def fitted(toy_dataset, clusterer):
+    return MotionClassifier(n_clusters=4, window_ms=100.0,
+                            clusterer=clusterer).fit(toy_dataset, seed=0)
 
 
 @pytest.fixture
@@ -37,12 +41,17 @@ class TestConstruction:
 
 
 class TestAdd:
-    def test_added_motion_is_retrievable(self, db, make_record):
+    @pytest.mark.parametrize("clusterer", ["fcm", "kmeans"])
+    def test_added_motion_is_retrievable(self, db, make_record, clusterer):
+        """The added signature is the one the same motion queries with."""
         new = make_record(label="beta", trial=77, seed=50, frequency=1.4)
         vid = db.add(new)
-        top = db.kneighbors(new, k=1)[0]
-        assert top.key == new.key
-        assert top.distance == pytest.approx(0.0, abs=1e-9)
+        # One-hot kmeans signatures tie, so the copy need not rank first.
+        hits = [n for n in db.kneighbors(new, k=len(db)) if n.key == new.key]
+        assert len(hits) == 1
+        assert hits[0].distance == pytest.approx(0.0, abs=1e-9)
+        if clusterer == "fcm":
+            assert db.kneighbors(new, k=1)[0].key == new.key
         assert len(db) == vid + 1 or new.key == db.kneighbors(new, k=1)[0].key
 
     def test_added_motion_improves_its_class(self, db, make_record):
@@ -87,7 +96,9 @@ class TestDriftTracking:
     def test_no_drift_initially(self, db):
         assert not db.refit_recommended
 
-    def test_in_distribution_additions_keep_drift_low(self, db, make_record):
+    @pytest.mark.parametrize("clusterer", ["fcm", "kmeans"])
+    def test_in_distribution_additions_keep_drift_low(self, db, make_record,
+                                                      clusterer):
         for trial in range(3):
             db.add(make_record(label="alpha", trial=100 + trial,
                                seed=200 + trial, frequency=0.7))

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.model import MotionClassifier
 from repro.errors import ValidationError
 from repro.eval.experiments import ExperimentResult, SweepResult, run_experiment, sweep
+from repro.eval.metrics import knn_classified_percent, misclassification_rate
 from repro.eval.reporting import format_series, format_table
 
 
@@ -42,6 +44,22 @@ class TestRunExperiment:
 
         with pytest.raises(ValidationError):
             run_experiment(toy_dataset, MotionDataset(name="none"))
+
+    @pytest.mark.parametrize("clusterer", ["fcm", "kmeans"])
+    def test_one_retrieval_matches_classify_and_fraction(self, split,
+                                                         clusterer):
+        """Scoring each query once gives the two-pass answers exactly."""
+        train, test = split
+        model = MotionClassifier(n_clusters=4, window_ms=100.0,
+                                 clusterer=clusterer)
+        result = run_experiment(train, test, k=3, seed=0, classifier=model)
+        truth = [r.label for r in test]
+        predicted = [model.classify(r, k=1) for r in test]
+        fractions = [model.knn_class_fraction(r, k=3) for r in test]
+        assert result.predicted_labels == tuple(predicted)
+        assert result.misclassification_pct == misclassification_rate(
+            truth, predicted)
+        assert result.knn_classified_pct == knn_classified_percent(fractions)
 
     def test_classifier_kwargs_forwarded(self, split):
         train, test = split

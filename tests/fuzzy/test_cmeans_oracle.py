@@ -1,14 +1,15 @@
 """Oracle tests: the vectorized FCM kernels against naive Eq. 4 loops.
 
-The production kernels in :mod:`repro.fuzzy.cmeans` are blockwise and
-whole-matrix vectorized for speed.  Here every kernel is re-implemented as
-the slowest possible literal transcription of Bezdek's update rules (nested
-Python loops, no numpy tricks) and the two are compared at ``rtol=1e-10``
-across cluster counts and fuzzifiers, including a full fit run step-by-step.
+The production kernels in :mod:`repro.fuzzy.cmeans` are whole-matrix
+vectorized for speed.  Here every kernel is re-implemented as the slowest
+possible literal transcription of Bezdek's update rules (nested Python
+loops, no numpy tricks) and the two are compared at ``rtol=1e-10`` across
+cluster counts and fuzzifiers, including a full fit run step-by-step.
 
-The chunked distance path is additionally pinned as **bit-identical** to the
-one-shot formula by shrinking the block size, since cache keys and the
-determinism harness depend on it.
+The matrix-product distance kernel is additionally pinned to the naive loop
+by its documented band, ``|d2 - naive| <= 16·ε·(‖x‖² + ‖v‖²)`` per entry,
+including points far from the origin where the expansion cancels, and is
+never negative.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.fuzzy.cmeans import (
 from repro.utils.rng import as_generator
 
 RTOL = 1e-10
+#: The distance kernel's band, in float64 epsilons of ``‖x‖² + ‖v‖²``.
+BAND_EPSILONS = 16.0
 
 
 def naive_squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -39,6 +42,12 @@ def naive_squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
                 total += diff * diff
             out[k, i] = total
     return out
+
+
+def distance_band(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Per-entry bound ``16·ε·(‖x‖² + ‖v‖²)`` on the kernel's error."""
+    norms = (x * x).sum(axis=1)[:, None] + (centers * centers).sum(axis=1)
+    return BAND_EPSILONS * np.finfo(float).eps * norms
 
 
 def naive_membership(d2: np.ndarray, m: float) -> np.ndarray:
@@ -102,16 +111,28 @@ def test_squared_distances_matches_naive(points, rng, c):
     )
 
 
-@pytest.mark.parametrize("block", [1, 7, 59, 60, 61])
-def test_chunked_distances_bit_identical_to_one_shot(points, rng, block,
-                                                     monkeypatch):
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_squared_distances_within_band_of_naive(points, rng, offset):
+    # offset=1e3 puts unit-spread points ~1e3 from the origin, where
+    # ‖x‖² − 2x·v + ‖v‖² cancels six digits; the first six points sit on
+    # the centers, where that cancellation can round below zero.
+    x = points + offset
+    centers = rng.normal(size=(6, points.shape[1])) + offset
+    x[:6] = centers
+    d2 = squared_distances(x, centers)
+    assert np.all(d2 >= 0.0)
+    assert np.all(np.abs(d2 - naive_squared_distances(x, centers))
+                  <= distance_band(x, centers))
+
+
+def test_point_on_center_takes_equal_split_branch(points, rng):
     centers = rng.normal(size=(4, points.shape[1]))
-    one_shot = squared_distances(points, centers)  # n << default block
-    # Shrink the block bound so n > block forces the chunked loop.
-    monkeypatch.setattr(cmeans, "_DISTANCE_BLOCK_ELEMS",
-                        block * centers.shape[0] * centers.shape[1])
-    chunked = squared_distances(points, centers)
-    assert chunked.tobytes() == one_shot.tobytes()
+    x = points.copy()
+    x[0] = centers[1]
+    d2 = squared_distances(x, centers)
+    assert d2[0, 1] <= cmeans._EPS
+    np.testing.assert_array_equal(membership_from_distances(d2, 2.0)[0],
+                                  [0.0, 1.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])

@@ -71,6 +71,16 @@ class TestContract:
         assert list(ids) == [3, 7]
         assert dists[0] == dists[1] == 0.0
 
+    def test_head_of_k_list_is_the_nearest(self, backend, database, rng):
+        """The first of k neighbours is the k=1 answer, ties included."""
+        index = backend().fit(database)
+        queries = [database[3], database[7]] + [rng.uniform(size=5)
+                                                for _ in range(6)]
+        for q in queries:
+            nearest = index.query(q, 1)[0][0]
+            for k in (1, 5, len(database)):
+                assert index.query(q, k)[0][0] == nearest
+
     def test_k_equals_n(self, backend, database):
         index = backend().fit(database)
         ids, _ = index.query(database[0], len(database))
