@@ -5,7 +5,7 @@
 PY ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-strict lint-changed selftest health bench-lint clean-lint-cache
+.PHONY: test lint lint-strict lint-changed selftest health bench-lint sweep-guard perfbench-tests perfbench-check clean-lint-cache
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/ -q
@@ -27,6 +27,15 @@ health:
 
 bench-lint:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest benchmarks/test_lint_dataflow.py -q
+
+sweep-guard:
+	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest benchmarks/test_sweep_cache_current.py -q
+
+perfbench-tests:
+	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest perfbench/tests -q
+
+perfbench-check:
+	PYTHONPATH=$(PYTHONPATH) $(PY) perfbench/run.py --workload all --seed 0 --seconds 1
 
 clean-lint-cache:
 	rm -f .lint-cache.json

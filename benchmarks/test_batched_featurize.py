@@ -1,13 +1,13 @@
 """Benchmark: batched hot-path featurization vs. the scalar oracle.
 
-Featurizes the full 128-record hand campaign four ways — scalar cold (the
-retained per-window reference loop), batched cold (the default stacked-SVD
-path), batched float32 cold (the opt-in fast path), and batched through a
-warm content-addressed cache — asserts the batched path is at least
-``MIN_SPEEDUP``x faster than the scalar loop on the same machine (the
+Featurizes the full 128-record hand campaign three ways — scalar cold (the
+per-window reference loop in ``tests/features/scalar_oracle.py``), batched
+cold (``WindowFeaturizer.features``, the stacked-SVD path), and batched
+through a warm content-addressed cache — asserts the batched path is at
+least ``MIN_SPEEDUP``x faster than the scalar loop on the same machine (the
 noise-aware form of ROADMAP item 3's >=10x target: scalar is timed once,
-batched takes the best of ``N_REPEATS`` passes), re-checks float64
-byte-identity between the two implementations, and records the evidence to
+batched takes the best of ``N_REPEATS`` passes), re-checks byte-identity
+between the two, and records the evidence to
 ``benchmarks/_cache/batched_featurize.json`` plus one ``repro.obs.ledger``
 record (label ``batched-featurize``) that ``repro-motions bench check``
 gates against on later runs.
@@ -28,6 +28,7 @@ from repro.obs.ledger import (
     git_sha,
 )
 from repro.parallel.cache import FeatureCache
+from tests.features.scalar_oracle import scalar_features
 
 WINDOW_MS = 100.0
 #: Cold batched vs. cold scalar gate (ROADMAP item 3 asks for >=10x).
@@ -36,38 +37,34 @@ MIN_SPEEDUP = 10.0
 N_REPEATS = 3
 
 
-def _time_featurize(featurizer, records, repeats: int = 1):
+def _time_featurize(featurize, records, repeats: int = 1):
     """Best wall-clock over ``repeats`` passes, plus the last pass's output."""
     best_s, features = float("inf"), None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        features = [featurizer.features(record) for record in records]
+        features = [featurize(record) for record in records]
         best_s = min(best_s, time.perf_counter() - t0)
     return best_s, features
 
 
 def test_batched_cold_at_least_10x_faster_than_scalar(hand_dataset, tmp_path):
     records = list(hand_dataset)
-    kwargs = dict(window_ms=WINDOW_MS, stride_ms=STRIDE_MS)
+    featurizer = WindowFeaturizer(window_ms=WINDOW_MS, stride_ms=STRIDE_MS)
 
-    scalar_s, scalar_features = _time_featurize(
-        WindowFeaturizer(impl="scalar", **kwargs), records)
+    scalar_s, oracle_features = _time_featurize(
+        lambda record: scalar_features(featurizer, record), records)
     batched_s, batched_features = _time_featurize(
-        WindowFeaturizer(impl="batched", **kwargs), records, N_REPEATS)
-    f32_s, _ = _time_featurize(
-        WindowFeaturizer(impl="batched", dtype="float32", **kwargs),
-        records, N_REPEATS)
+        featurizer.features, records, N_REPEATS)
 
-    # The hot path must be invisible: float64 output byte-identical to the
-    # scalar oracle for every record of the campaign.
-    for reference, candidate in zip(scalar_features, batched_features):
+    # The hot path must be invisible: output byte-identical to the scalar
+    # oracle for every record of the campaign.
+    for reference, candidate in zip(oracle_features, batched_features):
         assert candidate.matrix.tobytes() == reference.matrix.tobytes()
         assert candidate.bounds == reference.bounds
 
     # Warm content-addressed cache on top of the batched path.
     from repro.parallel.runner import featurize_records
 
-    featurizer = WindowFeaturizer(impl="batched", **kwargs)
     cache = FeatureCache(tmp_path / "features")
     featurize_records(featurizer, records, cache=cache)
     t0 = time.perf_counter()
@@ -90,10 +87,8 @@ def test_batched_cold_at_least_10x_faster_than_scalar(hand_dataset, tmp_path):
         "n_windows": n_windows,
         "scalar_cold_s": scalar_s,
         "batched_cold_s": batched_s,
-        "batched_float32_cold_s": f32_s,
         "warm_cache_s": warm_s,
         "batched_vs_scalar_speedup": speedup,
-        "float32_vs_float64_speedup": batched_s / f32_s,
         "byte_identical_float64": True,
     }
     CACHE_DIR.mkdir(exist_ok=True)
@@ -111,8 +106,6 @@ def test_batched_cold_at_least_10x_faster_than_scalar(hand_dataset, tmp_path):
             "featurize.scalar_cold": {"calls": 1, "total_s": scalar_s},
             "featurize.batched_cold": {"calls": N_REPEATS,
                                        "total_s": batched_s},
-            "featurize.batched_float32_cold": {"calls": N_REPEATS,
-                                               "total_s": f32_s},
             "featurize.warm_cache": {"calls": 1, "total_s": warm_s},
         },
         "meta": artifact,

@@ -105,19 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "cached features are byte-identical to "
                             "recomputed ones (default: caching off)")
 
-    def add_featurize_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--impl", choices=("batched", "scalar"),
-                       default="batched",
-                       help="featurization implementation: 'batched' "
-                            "(default; stacked-SVD hot path) or 'scalar' "
-                            "(per-window reference loop); bit-identical "
-                            "in float64")
-        p.add_argument("--dtype", choices=("float64", "float32"),
-                       default="float64",
-                       help="feature working precision; float32 is the "
-                            "fast path (features within ~1e-6 relative "
-                            "of float64)")
-
     def add_robust_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--robust-policy",
                        choices=("off", "strict", "mask", "repair"),
@@ -140,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--stride-ms", type=float, default=None,
                          help="window stride used when warming the feature "
                               "cache (only with --cache-dir)")
-    add_featurize_flags(p_build)
     add_parallel_flags(p_build)
     add_robust_flag(p_build)
     add_obs_flags(p_build)
@@ -156,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--scaler", choices=("zscore", "minmax", "none"),
                         default="zscore")
     p_eval.add_argument("--clusterer", choices=("fcm", "kmeans"), default="fcm")
-    add_featurize_flags(p_eval)
     add_parallel_flags(p_eval)
     add_robust_flag(p_eval)
     add_obs_flags(p_eval)
@@ -174,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--csv", metavar="PREFIX", default=None,
                          help="also write <PREFIX>_misclassification.csv and "
                               "<PREFIX>_knn.csv in long format")
-    add_featurize_flags(p_sweep)
     add_parallel_flags(p_sweep)
 
     p_info = sub.add_parser(
@@ -207,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sample process resources (RSS, CPU time, GC "
                              "counts) around each phase and export them "
                              "under the payload's 'resources' key")
-    add_featurize_flags(p_prof)
     add_parallel_flags(p_prof)
     add_robust_flag(p_prof)
 
@@ -289,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run label recorded in the ledger "
                             "(default: bench)")
     add_ledger_flag(b_run)
-    add_featurize_flags(b_run)
     add_parallel_flags(b_run)
 
     b_check = bench_sub.add_parser(
@@ -452,8 +434,7 @@ def _cmd_build(args) -> int:
         from repro.parallel.runner import featurize_records
 
         featurizer = WindowFeaturizer(window_ms=args.window_ms,
-                                      stride_ms=args.stride_ms,
-                                      impl=args.impl, dtype=args.dtype)
+                                      stride_ms=args.stride_ms)
         if args.robust_policy != "off":
             from repro.robust.featurize import RobustFeaturizer
 
@@ -474,8 +455,7 @@ def _cmd_evaluate(args) -> int:
     dataset = load_dataset(args.dataset)
     train, test = dataset.train_test_split(args.test_fraction, seed=args.seed)
     featurizer = WindowFeaturizer(window_ms=args.window_ms,
-                                  stride_ms=args.stride_ms,
-                                  impl=args.impl, dtype=args.dtype)
+                                  stride_ms=args.stride_ms)
     classifier = MotionClassifier(
         n_clusters=args.clusters,
         featurizer=featurizer,
@@ -516,8 +496,7 @@ def _cmd_sweep(args) -> int:
     for window_ms in args.windows_ms:
         for n_clusters in args.clusters:
             featurizer = WindowFeaturizer(window_ms=window_ms,
-                                          stride_ms=args.stride_ms,
-                                          impl=args.impl, dtype=args.dtype)
+                                          stride_ms=args.stride_ms)
             classifier = MotionClassifier(n_clusters=n_clusters,
                                           featurizer=featurizer,
                                           n_jobs=args.n_jobs,
@@ -579,8 +558,6 @@ def _cmd_bench(args) -> int:
             n_jobs=args.n_jobs,
             backend=args.backend,
             cache_dir=args.cache_dir,
-            impl=args.impl,
-            dtype=args.dtype,
         )
         record = record_from_payload(payload, label=args.label)
         ledger.append(record)
@@ -905,8 +882,6 @@ def _cmd_profile(args) -> int:
         backend=args.backend,
         cache_dir=args.cache_dir,
         robust_policy=args.robust_policy,
-        impl=args.impl,
-        dtype=args.dtype,
         max_spans=args.max_spans,
         sample_resources=args.resources,
     )

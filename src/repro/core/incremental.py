@@ -85,7 +85,7 @@ class IncrementalMotionDatabase:
         self._keys_in_db = {e.key for e in self._entries.values()}
         # Fit-time membership baseline: how confidently the FCM vocabulary
         # covers its own training windows.
-        self._baseline_membership = classifier.mean_highest_membership
+        self._baseline_membership = classifier.baseline.max_membership_mean
         self._added_memberships: List[float] = []
 
     def __len__(self) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -137,7 +137,10 @@ class MotionClassifier:
     cache_dir:
         Directory for the content-addressed feature cache; ``None`` (the
         default) disables caching.  Cached features are byte-identical to
-        recomputed ones.
+        recomputed ones.  With a ``robust_policy`` the fit side still
+        caches, but queries featurize afresh, because a cached matrix
+        cannot replay the query's degradation report; the answers are the
+        same either way.
     robust_policy:
         Degradation policy for faulted streams: ``None``/``"off"`` (the
         default) keeps the exact pre-robust path, byte for byte; a
@@ -190,7 +193,6 @@ class MotionClassifier:
         self._keys: List[str] = []
         self._index: Optional[NearestNeighborIndex] = None
         self._soft_memberships = True
-        self._mean_highest_membership = 1.0
         self._baseline: Optional[BaselineSnapshot] = None
         self._health: Optional[DriftMonitor] = None
 
@@ -239,15 +241,7 @@ class MotionClassifier:
             estimator = self._make_clusterer()
             result = estimator.fit(scaled, seed=seed)
             self._centers = result.centers
-            # Fit-time coverage statistic: how confidently the cluster
-            # vocabulary describes its own training windows (used by the
-            # incremental maintainer's drift tracking).
-            self._mean_highest_membership = float(
-                result.membership.max(axis=1).mean()
-            )
-            self._soft_memberships = isinstance(estimator, FuzzyCMeans) or not isinstance(
-                estimator, KMeans
-            )
+            self._soft_memberships = not isinstance(estimator, KMeans)
             # Freeze the fit-time health baseline alongside the model so
             # drift is always measured against the deployed artifact (see
             # repro.obs.drift; persisted via `classifier.baseline.save`).
@@ -308,13 +302,6 @@ class MotionClassifier:
         return list(self._keys)
 
     @property
-    def mean_highest_membership(self) -> float:
-        """Mean highest membership of the training windows at fit time."""
-        if self._centers is None:
-            raise NotFittedError("MotionClassifier used before fit")
-        return self._mean_highest_membership
-
-    @property
     def baseline(self) -> BaselineSnapshot:
         """The frozen fit-time health baseline (see :mod:`repro.obs.drift`).
 
@@ -361,11 +348,9 @@ class MotionClassifier:
     # ------------------------------------------------------------------
 
     def _signature_from_features(
-        self, features: WindowFeatures, degraded: bool = False
+        self, features: WindowFeatures, degraded: bool
     ) -> MotionSignature:
         """Reduce one motion's window features to its 2c signature."""
-        if self._centers is None:
-            raise NotFittedError("MotionClassifier used before fit")
         if not np.isfinite(features.matrix).all():
             raise FeatureError(
                 "query features contain non-finite values; repair the record "
@@ -386,30 +371,48 @@ class MotionClassifier:
             ))
         return motion_signature(memberships, self.n_clusters)
 
-    def signature(self, record: RecordedMotion) -> MotionSignature:
-        """The 2c signature of a (query) motion against the fitted clusters."""
+    def _query_signature(
+        self, record: RecordedMotion
+    ) -> Tuple[MotionSignature, DegradationReport]:
+        """Featurize one query record and reduce it to its 2c signature.
+
+        A robust featurizer supplies its own degradation report; any other
+        featurizer reads through the feature cache when one is set and
+        reports a trivial clean ``policy="off"`` account.
+        """
         if self._centers is None:
             raise NotFittedError("MotionClassifier used before fit")
         with span("model.signature"):
-            if self.feature_cache is not None:
-                features = featurize_records(
-                    self.featurizer, [record], cache=self.feature_cache,
-                )[0]
+            if isinstance(self.featurizer, RobustFeaturizer):
+                features, report = self.featurizer.features_with_report(record)
             else:
-                features = self.featurizer.features(record)
+                if self.feature_cache is not None:
+                    features = featurize_records(
+                        self.featurizer, [record], cache=self.feature_cache,
+                    )[0]
+                else:
+                    features = self.featurizer.features(record)
+                report = DegradationReport(
+                    policy="off", clean=True, n_windows_total=features.n_windows
+                )
             record_event("query.featurized", key=record.key,
                          n_windows=features.n_windows)
-            return self._signature_from_features(features)
+            signature = self._signature_from_features(
+                features, degraded=report.degraded
+            )
+        return signature, report
 
-    def kneighbors(self, record: RecordedMotion, k: int = 5) -> List[RetrievedNeighbor]:
-        """The ``k`` nearest database motions to ``record``."""
+    def _query(
+        self, record: RecordedMotion, k: int
+    ) -> Tuple[List[RetrievedNeighbor], DegradationReport]:
+        """The query path: signature, k-NN retrieval and provenance events."""
         if self._index is None:
             raise NotFittedError("MotionClassifier used before fit")
         with query_scope():
-            vector = self.signature(record).vector
+            signature, report = self._query_signature(record)
             with span("retrieval.knn_query", k=k,
                       backend=type(self._index).__name__):
-                indices, distances = self._index.query(vector, k)
+                indices, distances = self._index.query(signature.vector, k)
             neighbors = [
                 RetrievedNeighbor(
                     key=self._keys[i], label=self._labels[i], distance=float(d)
@@ -418,7 +421,20 @@ class MotionClassifier:
             ]
             record_event("query.retrieved", key=record.key, k=k,
                          neighbors=[n.key for n in neighbors])
-        return neighbors
+            if report.degraded:
+                record_counter("robust.degraded_queries")
+                record_event("query.degraded", key=record.key,
+                             policy=report.policy,
+                             faults=list(report.faults_detected))
+        return neighbors, report
+
+    def signature(self, record: RecordedMotion) -> MotionSignature:
+        """The 2c signature of a (query) motion against the fitted clusters."""
+        return self._query_signature(record)[0]
+
+    def kneighbors(self, record: RecordedMotion, k: int = 5) -> List[RetrievedNeighbor]:
+        """The ``k`` nearest database motions to ``record``."""
+        return self._query(record, k)[0]
 
     def classify(self, record: RecordedMotion, k: int = 1) -> str:
         """Predict the motion class by k-NN vote (1-NN by default).
@@ -429,17 +445,7 @@ class MotionClassifier:
         end-to-end latency lands in the ``model.query_latency_s``
         histogram (p50/p95/p99 in the export).
         """
-        with query_scope(), time_histogram("model.query_latency_s"):
-            record_counter("model.queries")
-            record_event("query.received", key=record.key,
-                         label=record.label, k=k)
-            neighbors = self.kneighbors(record, k)
-            label = knn_vote(
-                [n.label for n in neighbors],
-                np.asarray([n.distance for n in neighbors]),
-            )
-            record_event("query.classified", key=record.key, label=label)
-        return label
+        return self.classify_with_report(record, k).label
 
     def classify_with_report(
         self, record: RecordedMotion, k: int = 1
@@ -452,45 +458,17 @@ class MotionClassifier:
         is configured), and degraded queries are counted in
         :mod:`repro.obs` under ``robust.degraded_queries``.
         """
-        if self._index is None:
-            raise NotFittedError("MotionClassifier used before fit")
-        with query_scope(), time_histogram("model.query_latency_s"), \
-                span("model.classify_robust", k=k):
+        with query_scope(), time_histogram("model.query_latency_s"):
             record_counter("model.queries")
             record_event("query.received", key=record.key,
                          label=record.label, k=k)
-            if isinstance(self.featurizer, RobustFeaturizer):
-                features, report = self.featurizer.features_with_report(record)
-            else:
-                features = self.featurizer.features(record)
-                report = DegradationReport(
-                    policy="off", clean=True, n_windows_total=features.n_windows
-                )
-            record_event("query.featurized", key=record.key,
-                         n_windows=features.n_windows)
-            vector = self._signature_from_features(
-                features, degraded=report.degraded
-            ).vector
-            indices, distances = self._index.query(vector, k)
-            neighbors = [
-                RetrievedNeighbor(
-                    key=self._keys[i], label=self._labels[i], distance=float(d)
-                )
-                for i, d in zip(indices, distances)
-            ]
-            record_event("query.retrieved", key=record.key, k=k,
-                         neighbors=[n.key for n in neighbors])
+            neighbors, report = self._query(record, k)
             label = knn_vote(
                 [n.label for n in neighbors],
                 np.asarray([n.distance for n in neighbors]),
             )
-            if report.degraded:
-                record_counter("robust.degraded_queries")
-                record_event("query.degraded", key=record.key,
-                             policy=report.policy,
-                             faults=list(report.faults_detected))
             record_event("query.classified", key=record.key, label=label)
-            return RobustQueryResult(label=label, neighbors=neighbors, report=report)
+        return RobustQueryResult(label=label, neighbors=neighbors, report=report)
 
     def knn_class_fraction(self, record: RecordedMotion, k: int = 5) -> float:
         """Fraction of the ``k`` retrieved motions in the query's own class.

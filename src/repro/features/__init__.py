@@ -7,8 +7,8 @@
 * :mod:`repro.features.combine` — the per-window combined (m+n)-dimensional
   feature vector (Section 3.3);
 * :mod:`repro.features.batched` — the stacked/vectorized feature kernels
-  behind the default ``impl="batched"`` hot path (bit-identical to the
-  scalar functions in float64);
+  behind :class:`~repro.features.combine.WindowFeaturizer` (bit-identical
+  to the per-window functions);
 * :mod:`repro.features.emg_extra` — the related-work baseline EMG features
   (zero crossings, histogram, AR coefficients, RMS, MAV, waveform length)
   used in ablation benchmarks;
@@ -18,14 +18,13 @@
 
 from repro.features.base import EMGFeatureExtractor, MocapFeatureExtractor, WindowFeatures
 from repro.features.batched import (
-    as_working_dtype,
     batched_iav,
     stabilize_signs_batched,
     stacked_weighted_svd,
 )
 from repro.features.iav import IAVExtractor, integral_absolute_value
 from repro.features.svd import WeightedSVDExtractor, weighted_svd_feature
-from repro.features.combine import FeaturizeConfig, WindowFeaturizer
+from repro.features.combine import WindowFeaturizer
 from repro.features.pca import PCAJointExtractor, pca_joint_feature
 from repro.features.scaling import FeatureScaler
 from repro.features.emg_extra import (
@@ -46,8 +45,6 @@ __all__ = [
     "WeightedSVDExtractor",
     "weighted_svd_feature",
     "WindowFeaturizer",
-    "FeaturizeConfig",
-    "as_working_dtype",
     "batched_iav",
     "stabilize_signs_batched",
     "stacked_weighted_svd",

@@ -9,7 +9,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import FeatureError
-from repro.features.batched import as_working_dtype
 from repro.utils.validation import check_array
 
 __all__ = ["EMGFeatureExtractor", "MocapFeatureExtractor", "WindowFeatures"]
@@ -55,11 +54,10 @@ class EMGFeatureExtractor(abc.ABC):
         ]
 
     def _validated(self, window: np.ndarray) -> np.ndarray:
-        window = check_array(window, name="window", ndim=2, dtype=None,
-                             allow_empty=False)
+        window = check_array(window, name="window", ndim=2, allow_empty=False)
         if window.shape[0] < 1:
             raise FeatureError("EMG window must contain at least one sample")
-        return as_working_dtype(window)
+        return window
 
     def cache_fingerprint(self) -> str:
         """Stable identity of this extractor for feature-cache keys.
@@ -88,10 +86,7 @@ class MocapFeatureExtractor(abc.ABC):
 
     def extract(self, window: np.ndarray) -> np.ndarray:
         """Features for an ``(w, 3k)`` multi-joint window, joint-major."""
-        window = as_working_dtype(
-            check_array(window, name="window", ndim=2, dtype=None,
-                        allow_empty=False)
-        )
+        window = check_array(window, name="window", ndim=2, allow_empty=False)
         if window.shape[1] % 3 != 0:
             raise FeatureError(
                 f"multi-joint window must have 3 columns per joint, "
@@ -142,9 +137,7 @@ class WindowFeatures:
     ----------
     matrix:
         ``(n_windows, d)`` combined feature vectors — the points mapped into
-        the paper's (m+n)-dimensional feature space.  float32 and float64
-        matrices keep their dtype (the float32 fast path must survive the
-        bundle); anything else is coerced to float64.
+        the paper's (m+n)-dimensional feature space, coerced to float64.
     bounds:
         The frame range ``(start, stop)`` of each window.
     names:
@@ -157,9 +150,7 @@ class WindowFeatures:
     names: Tuple[str, ...]
 
     def __post_init__(self) -> None:
-        matrix = as_working_dtype(
-            check_array(self.matrix, name="matrix", ndim=2, dtype=None)
-        )
+        matrix = check_array(self.matrix, name="matrix", ndim=2)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "bounds", tuple(tuple(b) for b in self.bounds))
         object.__setattr__(self, "names", tuple(self.names))

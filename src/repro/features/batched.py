@@ -20,19 +20,13 @@ This module computes the same features over **stacks of windows**:
 
 Numerical contract
 ------------------
-In float64 every kernel is **bit-identical** to its scalar counterpart:
-the stacked SVD gufunc runs the same LAPACK routine per matrix, the
-weighted combination uses the same ``matmul`` contraction, and the axis
-reductions share numpy's pairwise-summation tree for a fixed window
-length.  ``tests/features/test_batched_equivalence.py`` is the
-differential harness pinning this.  In float32 (the opt-in fast path) the
-kernels compute natively in float32, so results are tolerance-banded
-against the float64 oracle rather than exact — see docs/TESTING.md for
-the tolerance policy.
-
-Inputs of non-floating dtype are computed in float64 (matching the scalar
-extractors' historical coercion); float32 and float64 inputs are computed
-in their own dtype.
+Every kernel computes in float64, whatever the input dtype, and is
+**bit-identical** to its scalar counterpart: the stacked SVD gufunc runs
+the same LAPACK routine per matrix, the weighted combination uses the same
+``matmul`` contraction, and the axis reductions share numpy's
+pairwise-summation tree for a fixed window length.
+``tests/features/test_batched_equivalence.py`` is the differential harness
+pinning this.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ from repro.errors import FeatureError
 from repro.utils.validation import check_array, shapes
 
 __all__ = [
-    "as_working_dtype",
     "batched_iav",
     "batched_mav",
     "batched_waveform_length",
@@ -55,27 +48,6 @@ __all__ = [
 #: Degenerate-window threshold shared with the scalar Eq. 3 path: a window
 #: whose singular values sum to at most this is treated as zero motion.
 ZERO_MOTION_TOTAL = 1e-12
-
-
-@shapes(array="(...)")
-def as_working_dtype(array: np.ndarray) -> np.ndarray:
-    """Coerce to the kernel working dtype: floats stay, everything else is float64.
-
-    float32 and float64 arrays pass through unchanged (the float32 fast
-    path computes natively); integer/bool/float16 inputs are promoted to
-    float64, matching what the scalar extractors have always done.
-    """
-    array = np.asarray(array)
-    if array.dtype in (np.float32, np.float64):
-        return array
-    return array.astype(np.float64)
-
-
-def _validated_batch(windows: np.ndarray, name: str) -> np.ndarray:
-    """Validate one ``(batch, w, cols)`` stack and apply the working dtype."""
-    windows = check_array(windows, name=name, ndim=3, dtype=None,
-                          allow_empty=False)
-    return as_working_dtype(windows)
 
 
 @shapes(vt="(..., m, d)")
@@ -102,10 +74,9 @@ def stacked_weighted_svd(windows: np.ndarray) -> np.ndarray:
     ``MocapFeatureExtractor.extract`` applied per window.  All ``batch * k``
     joint matrices go through **one** stacked ``numpy.linalg.svd`` call;
     sign stabilization, singular-value normalization and the all-zero
-    degenerate case (zero vector, in the working dtype) are vectorized
-    along the batch axis.
+    degenerate case (zero vector) are vectorized along the batch axis.
     """
-    windows = _validated_batch(windows, "windows")
+    windows = check_array(windows, name="windows", ndim=3, allow_empty=False)
     batch, w, cols = windows.shape
     if cols % 3 != 0:
         raise FeatureError(
@@ -132,21 +103,21 @@ def stacked_weighted_svd(windows: np.ndarray) -> np.ndarray:
 @shapes(windows="(b, w, c)")
 def batched_iav(windows: np.ndarray) -> np.ndarray:
     """Eq. 1 IAV per channel for a ``(batch, w, n_channels)`` stack."""
-    windows = _validated_batch(windows, "windows")
+    windows = check_array(windows, name="windows", ndim=3, allow_empty=False)
     return np.sum(np.abs(windows), axis=1)
 
 
 @shapes(windows="(b, w, c)")
 def batched_mav(windows: np.ndarray) -> np.ndarray:
     """Mean absolute value per channel for a stack of windows."""
-    windows = _validated_batch(windows, "windows")
+    windows = check_array(windows, name="windows", ndim=3, allow_empty=False)
     return np.mean(np.abs(windows), axis=1)
 
 
 @shapes(windows="(b, w, c)")
 def batched_waveform_length(windows: np.ndarray) -> np.ndarray:
     """Waveform length (total variation) per channel for a stack of windows."""
-    windows = _validated_batch(windows, "windows")
+    windows = check_array(windows, name="windows", ndim=3, allow_empty=False)
     if windows.shape[1] < 2:
         return np.zeros((windows.shape[0], windows.shape[2]),
                         dtype=windows.dtype)
@@ -163,7 +134,7 @@ def batched_zero_crossings(
     signal is mean-centred per window, and a crossing counts when
     consecutive samples change sign with a difference above ``threshold``.
     """
-    windows = _validated_batch(windows, "windows")
+    windows = check_array(windows, name="windows", ndim=3, allow_empty=False)
     centred = windows - windows.mean(axis=1, keepdims=True)
     if centred.shape[1] < 2:
         return np.zeros((windows.shape[0], windows.shape[2]),

@@ -10,32 +10,19 @@ m-length EMG feature vector ... and n-length motion capture feature vector
 two synchronized streams into the *same* windows and emits one combined
 vector per window, EMG dimensions first.
 
-Two implementations produce those vectors:
-
-``impl="batched"`` (the default)
-    The hot path: each stream is cut into stacked equal-length window
-    batches (:func:`repro.utils.windows.window_batches` — one zero-copy
-    strided batch for the full windows plus small tail batches for the
-    ragged remainder) and featurized through the extractors'
-    ``extract_batch`` kernels (:mod:`repro.features.batched`), so the whole
-    record needs a handful of numpy calls instead of a Python loop per
-    window per joint.
-``impl="scalar"``
-    The original per-window loop, retained verbatim as the **reference
-    oracle**: ``tests/features/test_batched_equivalence.py`` asserts the
-    batched path is bit-identical to it in float64 and tolerance-banded in
-    float32.
-
-``dtype="float32"`` opts into the single-precision fast path: both streams
-are cast once up front and every kernel computes natively in float32
-(halving SVD work and memory traffic) at the cost of ~1e-6 relative feature
-error versus the float64 oracle.
+Each stream is cut into stacked equal-length window batches
+(:func:`repro.utils.windows.window_batches` — one zero-copy strided batch for
+the full windows plus small tail batches for the ragged remainder) and
+featurized through the extractors' ``extract_batch`` kernels
+(:mod:`repro.features.batched`), so the whole record needs a handful of numpy
+calls instead of a Python loop per window per joint.  The per-window loop it
+replaced is kept as the test oracle in ``tests/features/scalar_oracle.py``,
+which this path matches bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -52,31 +39,7 @@ from repro.obs.config import span
 from repro.utils.validation import check_in_range
 from repro.utils.windows import window_batches, window_bounds, window_size_frames
 
-__all__ = ["FeaturizeConfig", "WindowFeaturizer"]
-
-#: Allowed values of the ``impl`` knob.
-_IMPLS = ("batched", "scalar")
-
-#: Allowed values of the ``dtype`` knob, by name.
-_DTYPES = ("float64", "float32")
-
-
-@dataclass(frozen=True)
-class FeaturizeConfig:
-    """The value-determining featurization knobs, as one passable object.
-
-    Everything here participates in :meth:`WindowFeaturizer.cache_fingerprint`
-    (except ``impl`` in float64, where the batched and scalar paths are
-    bit-identical by contract and may share cache entries).  Build a
-    featurizer from it with :meth:`WindowFeaturizer.from_config`.
-    """
-
-    window_ms: float = 100.0
-    stride_ms: Optional[float] = None
-    use_emg: bool = True
-    use_mocap: bool = True
-    impl: str = "batched"
-    dtype: str = "float64"
+__all__ = ["WindowFeaturizer"]
 
 
 class WindowFeaturizer:
@@ -96,14 +59,6 @@ class WindowFeaturizer:
     use_emg / use_mocap:
         Modality switches for the fusion ablation (at least one must stay
         on).
-    impl:
-        ``"batched"`` (default) runs the stacked-SVD / vectorized-EMG hot
-        path; ``"scalar"`` runs the original per-window loop (the
-        reference oracle).  Bit-identical in float64.
-    dtype:
-        ``"float64"`` (default) or ``"float32"`` — the working precision of
-        the feature kernels.  float32 is the opt-in fast path; its features
-        are tolerance-banded, not bit-identical, against float64.
     """
 
     def __init__(
@@ -114,8 +69,6 @@ class WindowFeaturizer:
         stride_ms: Optional[float] = None,
         use_emg: bool = True,
         use_mocap: bool = True,
-        impl: str = "batched",
-        dtype: str = "float64",
     ):
         self.window_ms = check_in_range(
             window_ms, name="window_ms", low=0.0, high=10_000.0, inclusive_low=False
@@ -130,38 +83,8 @@ class WindowFeaturizer:
             raise FeatureError("at least one modality must be enabled")
         self.use_emg = use_emg
         self.use_mocap = use_mocap
-        if impl not in _IMPLS:
-            raise FeatureError(f"impl must be one of {_IMPLS}, got {impl!r}")
-        self.impl = impl
-        if dtype not in _DTYPES:
-            raise FeatureError(f"dtype must be one of {_DTYPES}, got {dtype!r}")
-        self.dtype = dtype
         self.emg_extractor = emg_extractor or IAVExtractor()
         self.mocap_extractor = mocap_extractor or WeightedSVDExtractor()
-
-    @classmethod
-    def from_config(cls, config: FeaturizeConfig) -> "WindowFeaturizer":
-        """Build a featurizer (with default extractors) from a config."""
-        return cls(
-            window_ms=config.window_ms,
-            stride_ms=config.stride_ms,
-            use_emg=config.use_emg,
-            use_mocap=config.use_mocap,
-            impl=config.impl,
-            dtype=config.dtype,
-        )
-
-    @property
-    def config(self) -> FeaturizeConfig:
-        """This featurizer's knobs as a :class:`FeaturizeConfig`."""
-        return FeaturizeConfig(
-            window_ms=self.window_ms,
-            stride_ms=self.stride_ms,
-            use_emg=self.use_emg,
-            use_mocap=self.use_mocap,
-            impl=self.impl,
-            dtype=self.dtype,
-        )
 
     def window_frames(self, fps: float) -> int:
         """Window length in frames at the given frame rate."""
@@ -189,67 +112,16 @@ class WindowFeaturizer:
 
         Combined with the stream bytes and the cache code version this forms
         the content address of a motion's features (see
-        :mod:`repro.parallel.cache`).  The default float64 configuration
-        fingerprints exactly as it always has: the batched and scalar
-        implementations are bit-identical there (the differential harness
-        enforces it) and so share cache entries.  A non-default ``dtype``
-        changes the values, so it — and then ``impl``, whose float32
-        outputs are only tolerance-close — joins the fingerprint.
+        :mod:`repro.parallel.cache`).
         """
-        parts = [
+        return "|".join([
             f"window_ms={self.window_ms!r}",
             f"stride_ms={self.stride_ms!r}",
             f"use_emg={self.use_emg}",
             f"use_mocap={self.use_mocap}",
             f"emg={self.emg_extractor.cache_fingerprint()}",
             f"mocap={self.mocap_extractor.cache_fingerprint()}",
-        ]
-        if self.dtype != "float64":
-            parts.append(f"dtype={self.dtype}")
-            parts.append(f"impl={self.impl}")
-        return "|".join(parts)
-
-    def features_batch(
-        self,
-        records: Sequence[RecordedMotion],
-        n_jobs: int = 1,
-        backend: str = "auto",
-        cache=None,
-    ) -> List[WindowFeatures]:
-        """Featurize many records — parallel and cached, order preserved.
-
-        Byte-identical to ``[self.features(r) for r in records]`` for every
-        ``n_jobs``/``backend``/``cache`` combination; see
-        :func:`repro.parallel.runner.featurize_records` for the knobs.
-        """
-        from repro.parallel.runner import featurize_records
-
-        return featurize_records(self, records, n_jobs=n_jobs,
-                                 backend=backend, cache=cache)
-
-    def features(self, record: RecordedMotion) -> WindowFeatures:
-        """Combined feature matrix for every window of ``record``.
-
-        Both streams are cut with identical frame bounds; the EMG block is
-        appended first, then the mocap block, matching the paper's (m+n)
-        layout.  Dispatches to the batched hot path or the scalar oracle
-        according to ``impl``.
-        """
-        if self.impl == "scalar":
-            return self._features_scalar(record)
-        return self._features_batched(record)
-
-    # -- shared helpers -------------------------------------------------
-
-    def _np_dtype(self) -> np.dtype:
-        return np.dtype(self.dtype)
-
-    def _stream_arrays(self, record: RecordedMotion):
-        """The two stream matrices in the working dtype (cast once)."""
-        dtype = self._np_dtype()
-        emg = np.asarray(record.emg.data_volts, dtype=dtype)
-        mocap = np.asarray(record.mocap.matrix_mm, dtype=dtype)
-        return emg, mocap
+        ])
 
     def _window_error(
         self, record: RecordedMotion, w: int, start: int, stop: int,
@@ -272,50 +144,13 @@ class WindowFeaturizer:
             f"({record.n_frames} frames, window={window}, stride={stride})"
         )
 
-    # -- the scalar reference oracle ------------------------------------
-
-    def _features_scalar(self, record: RecordedMotion) -> WindowFeatures:
-        """The original per-window loop, kept as the reference oracle."""
-        with span("features.extract", key=record.key) as sp:
-            fps = record.fps
-            window = self.window_frames(fps)
-            stride = self.stride_frames(fps)
-            with span("features.windowing", n_frames=record.n_frames,
-                      window=window, stride=stride):
-                bounds = window_bounds(record.n_frames, window, stride)
-            emg_data, mocap_data = self._stream_arrays(record)
-            rows = []
-            for w, (start, stop) in enumerate(bounds):
-                try:
-                    parts = []
-                    if self.use_emg:
-                        parts.append(self.emg_extractor.extract(emg_data[start:stop]))
-                    if self.use_mocap:
-                        parts.append(
-                            self.mocap_extractor.extract(mocap_data[start:stop])
-                        )
-                except ValidationError as exc:
-                    raise self._window_error(record, w, start, stop, exc) from exc
-                rows.append(np.concatenate(parts))
-            if not rows:
-                raise self._no_windows_error(record, window, stride)
-            matrix = np.vstack(rows)
-            sp.set(n_windows=matrix.shape[0], n_dims=matrix.shape[1])
-            return WindowFeatures(
-                matrix=matrix,
-                bounds=tuple(bounds),
-                names=tuple(self.feature_names(record)),
-            )
-
-    # -- the batched hot path -------------------------------------------
-
     def _raise_located(self, record: RecordedMotion, bounds, streams,
                        exc: Exception) -> None:
         """Re-raise a batch-level failure naming the first offending window.
 
         The batched kernels validate whole stacks, so a NaN burst surfaces
         as one :class:`ValidationError` for the batch; scanning the bounds
-        recovers the scalar path's per-window diagnostics.
+        names the first window that holds a non-finite sample.
         """
         for w, (start, stop) in enumerate(bounds):
             for data in streams:
@@ -328,8 +163,13 @@ class WindowFeaturizer:
         raise self._window_error(record, 0, bounds[0][0], bounds[0][1],
                                  exc) from exc
 
-    def _features_batched(self, record: RecordedMotion) -> WindowFeatures:
-        """Stacked-batch featurization; bit-identical to the oracle in float64."""
+    def features(self, record: RecordedMotion) -> WindowFeatures:
+        """Combined feature matrix for every window of ``record``.
+
+        Both streams are cast to float64 once and cut with identical frame
+        bounds; the EMG block is appended first, then the mocap block,
+        matching the paper's (m+n) layout.
+        """
         with span("features.extract", key=record.key) as sp:
             fps = record.fps
             window = self.window_frames(fps)
@@ -339,7 +179,8 @@ class WindowFeaturizer:
                 bounds = window_bounds(record.n_frames, window, stride)
             if not bounds:
                 raise self._no_windows_error(record, window, stride)
-            emg_data, mocap_data = self._stream_arrays(record)
+            emg_data = np.asarray(record.emg.data_volts, dtype=np.float64)
+            mocap_data = np.asarray(record.mocap.matrix_mm, dtype=np.float64)
             streams = ([emg_data] if self.use_emg else []) + (
                 [mocap_data] if self.use_mocap else [])
             with span("features.batched.stack", n_windows=len(bounds)):

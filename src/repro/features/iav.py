@@ -17,7 +17,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.features.base import EMGFeatureExtractor
-from repro.features.batched import as_working_dtype, batched_iav
+from repro.features.batched import batched_iav
 from repro.obs.config import span
 from repro.utils.validation import check_array, shapes
 
@@ -28,12 +28,11 @@ def integral_absolute_value(window: np.ndarray) -> np.ndarray:
     """IAV of one ``(w, n_channels)`` window, per channel.
 
     The input is conditioned (already rectified) EMG, but the absolute value
-    is applied regardless so the function also accepts raw signals.
-    float32 and float64 windows are summed in their own dtype.
+    is applied regardless so the function also accepts raw signals.  The
+    sum is taken in float64, whatever the input dtype.
     """
-    window = check_array(window, name="window", ndim=2, dtype=None,
-                         allow_empty=False)
-    return np.sum(np.abs(as_working_dtype(window)), axis=0)
+    window = check_array(window, name="window", ndim=2, allow_empty=False)
+    return np.sum(np.abs(window), axis=0)
 
 
 class IAVExtractor(EMGFeatureExtractor):

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import FeatureError
 from repro.features.base import MocapFeatureExtractor
-from repro.features.batched import as_working_dtype, stacked_weighted_svd
+from repro.features.batched import stacked_weighted_svd
 from repro.obs.config import span
 from repro.utils.validation import check_array, shapes
 
@@ -59,26 +59,22 @@ def stabilize_signs(vt: np.ndarray) -> np.ndarray:
 def weighted_svd_feature(window: np.ndarray) -> np.ndarray:
     """The paper's Eq. 3 feature for one ``(w, 3)`` joint window.
 
-    Returns a 3-vector in the working dtype (float32 and float64 inputs
-    keep their precision; everything else computes in float64).  Degenerate
+    Returns a float64 3-vector, whatever the input dtype.  Degenerate
     cases:
 
     * a window of all (numerically) zero positions returns the zero vector
-      **in the working dtype** (a joint that does not move relative to the
-      pelvis contributes nothing — and a float64 zero row must not poison
-      a float32 batch);
+      (a joint that does not move relative to the pelvis contributes
+      nothing);
     * windows with fewer than 3 rows use the available ``min(w, 3)``
       singular pairs.
     """
-    window = check_array(window, name="window", ndim=2, dtype=None,
-                         allow_empty=False)
+    window = check_array(window, name="window", ndim=2, allow_empty=False)
     if window.shape[1] != 3:
         raise FeatureError(f"joint window must have 3 columns, got {window.shape[1]}")
-    window = as_working_dtype(window)
     _, singular, vt = np.linalg.svd(window, full_matrices=False)
     total = singular.sum()
     if total <= 1e-12:
-        return np.zeros(3, dtype=window.dtype)
+        return np.zeros(3)
     weights = singular / total
     vt = stabilize_signs(vt)
     return weights @ vt

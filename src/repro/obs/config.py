@@ -251,8 +251,9 @@ def query_scope(query_id: Optional[str] = None) -> Iterator[Optional[str]]:
     Yields the active id.  While observability is disabled the scope
     yields ``None`` and touches nothing, keeping the disabled path free.
     Nested scopes with no explicit ``query_id`` reuse the outer id, so a
-    public entry point calling another (``classify`` → ``kneighbors``)
-    produces one trail, not two.
+    public entry point that opens a scope around the query path, which
+    opens its own (``classify`` → ``MotionClassifier._query``), produces
+    one trail, not two.
     """
     state = _STATE
     if not state.enabled:

@@ -50,7 +50,6 @@ SPAN_NAMES = frozenset({
     # classification model
     "model.fit",
     "model.signature",
-    "model.classify_robust",
     # retrieval
     "retrieval.index_build",
     "retrieval.knn_query",

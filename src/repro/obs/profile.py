@@ -56,8 +56,6 @@ def run_profile(
     backend: str = "auto",
     cache_dir: Optional[str] = None,
     robust_policy: str = "off",
-    impl: str = "batched",
-    dtype: str = "float64",
     sample_resources: bool = False,
 ) -> Dict[str, Any]:
     """Profile one synthetic end-to-end pipeline run.
@@ -68,11 +66,7 @@ def run_profile(
     exported payload.  Deterministic given ``seed`` and an injected
     ``clock``.  With ``robust_policy`` other than ``"off"`` the feature path
     runs through :mod:`repro.robust` (adding ``robust.*`` spans/counters to
-    the payload when degradation occurs).  ``impl`` and ``dtype`` select the
-    featurization path (see
-    :class:`~repro.features.combine.WindowFeaturizer`); non-default values
-    are recorded in ``meta`` — and therefore change the benchmark-ledger
-    fingerprint — while the defaults leave the payload shape untouched.
+    the payload when degradation occurs).
 
     With ``sample_resources`` the run takes labelled
     :class:`~repro.obs.resources.ResourceSampler` readings around each phase
@@ -106,8 +100,7 @@ def run_profile(
                 sampler.sample("dataset_built")
             train, test = dataset.train_test_split(test_fraction, seed=seed)
             featurizer = WindowFeaturizer(window_ms=window_ms,
-                                          stride_ms=stride_ms,
-                                          impl=impl, dtype=dtype)
+                                          stride_ms=stride_ms)
             model = MotionClassifier(n_clusters=clusters,
                                      featurizer=featurizer,
                                      n_jobs=n_jobs,
@@ -143,13 +136,6 @@ def run_profile(
             "misclassification_pct": misclassification_rate(true_labels,
                                                             predicted),
         }
-        # Non-default featurization knobs change the produced values, so
-        # they join the meta (and hence the ledger fingerprint); defaults
-        # keep historical fingerprints comparable.
-        if impl != "batched":
-            meta["impl"] = impl
-        if dtype != "float64":
-            meta["dtype"] = dtype
         if model.feature_cache is not None:
             meta["feature_cache"] = model.feature_cache.stats.as_dict()
         payload = collect_payload(

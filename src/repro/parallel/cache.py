@@ -168,9 +168,6 @@ class FeatureCache:
                 return None
             try:
                 with np.load(path, allow_pickle=False) as payload:
-                    # The matrix keeps its stored dtype: float32 fast-path
-                    # entries must round-trip as float32 (their keys never
-                    # collide with float64 — the fingerprint includes dtype).
                     matrix = np.asarray(payload["matrix"])
                     bounds = np.asarray(payload["bounds"], dtype=np.int64)
                     names = [str(n) for n in payload["names"]]

@@ -22,7 +22,7 @@ Every step is recorded in a :class:`~repro.robust.report.DegradationReport`
 and exported as counters through :mod:`repro.obs`.
 
 The wrapper duck-types the featurizer protocol used across the repo
-(``features``, ``cache_fingerprint``, ``features_batch``, ``window_ms``),
+(``features``, ``cache_fingerprint``, ``window_ms``),
 is picklable for process-pool fan-out, and mixes the policy into the cache
 fingerprint so robust and non-robust features never collide in the
 feature cache.
@@ -153,16 +153,6 @@ class RobustFeaturizer:
         """Whether the wrapped featurizer extracts mocap features."""
         return self.base.use_mocap
 
-    @property
-    def impl(self) -> str:
-        """Implementation knob of the wrapped featurizer."""
-        return self.base.impl
-
-    @property
-    def dtype(self) -> str:
-        """Working-dtype knob of the wrapped featurizer."""
-        return self.base.dtype
-
     def feature_names(self, record: RecordedMotion) -> List[str]:
         """Dimension names of the combined vector (same as the base)."""
         return self.base.feature_names(record)
@@ -170,19 +160,6 @@ class RobustFeaturizer:
     def cache_fingerprint(self) -> str:
         """Base fingerprint plus the policy — robust features cache apart."""
         return f"{self.base.cache_fingerprint()}|{self.policy.fingerprint()}"
-
-    def features_batch(
-        self,
-        records: Sequence[RecordedMotion],
-        n_jobs: int = 1,
-        backend: str = "auto",
-        cache=None,
-    ) -> List[WindowFeatures]:
-        """Featurize many records — parallel and cached, order preserved."""
-        from repro.parallel.runner import featurize_records
-
-        return featurize_records(self, records, n_jobs=n_jobs,
-                                 backend=backend, cache=cache)
 
     def features(self, record: RecordedMotion) -> WindowFeatures:
         """Degradation-aware combined feature matrix (report discarded)."""

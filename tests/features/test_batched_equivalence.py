@@ -1,16 +1,14 @@
 """Differential harness: batched kernels vs. the scalar reference oracle.
 
-The batched hot path (``impl="batched"``, :mod:`repro.features.batched`)
-must be **bit-identical** to the retained scalar loop (``impl="scalar"``)
-in float64 — same LAPACK calls, same ``matmul`` contraction, same pairwise
-summation tree — and **tolerance-banded** in float32, where the kernels
-compute natively in single precision.  The tolerance policy lives in
-docs/TESTING.md; the band constants here mirror it.
+The batched path (:meth:`WindowFeaturizer.features`, kernels in
+:mod:`repro.features.batched`) must be **bit-identical** to the per-window
+loop in ``tests/features/scalar_oracle.py`` — same LAPACK calls, same
+``matmul`` contraction, same pairwise summation tree.
 
 Coverage: every extractor with a vectorized kernel, window sizes including
-``w < 3`` and ragged tails, overlapping strides, several joint counts, and
-both dtypes; hypothesis properties for the stacked sign-stabilization rule
-and for strided-view / ``iter_windows`` boundary agreement.
+``w < 3`` and ragged tails, overlapping strides and several joint counts;
+hypothesis properties for the stacked sign-stabilization rule and for
+strided-view / ``iter_windows`` boundary agreement.
 """
 
 import numpy as np
@@ -19,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.features.base import WindowFeatures
 from repro.features.batched import stabilize_signs_batched
 from repro.features.combine import WindowFeaturizer
 from repro.features.emg_extra import (
@@ -30,12 +29,7 @@ from repro.features.iav import IAVExtractor
 from repro.features.svd import WeightedSVDExtractor, stabilize_signs
 from repro.utils.windows import iter_windows, window_batches, window_bounds
 from tests.factories import synthetic_record
-
-#: float32 band against the float64 oracle (documented in docs/TESTING.md):
-#: one SVD + one normalized contraction loses at most a few ULPs beyond
-#: single-precision epsilon (~1.2e-7); observed relative error is ~1e-6.
-F32_RTOL = 1e-4
-F32_ATOL = 1e-5
+from tests.features.scalar_oracle import scalar_features
 
 #: EMG extractors whose ``extract_batch`` is a vectorized kernel (not the
 #: base-class loop), paired with a per-window scalar call.
@@ -68,15 +62,6 @@ class TestEMGKernelEquivalence:
         np.testing.assert_array_equal(got, want)
         assert got.dtype == np.float64
 
-    @pytest.mark.parametrize("extractor", EMG_EXTRACTORS,
-                             ids=lambda e: f"{type(e).__name__}")
-    def test_float32_banded_and_native(self, rng, extractor):
-        windows = rng.normal(size=(6, 12, 4)).astype(np.float32)
-        got = extractor.extract_batch(windows)
-        assert got.dtype == np.float32
-        want64 = _oracle_stack(extractor, windows.astype(np.float64))
-        np.testing.assert_allclose(got, want64, rtol=F32_RTOL, atol=F32_ATOL)
-
     def test_rectified_signals_match(self, rng):
         """Conditioned (non-negative) EMG — the real input — agrees too."""
         windows = np.abs(rng.normal(size=(5, 12, 4)))
@@ -100,14 +85,6 @@ class TestSVDKernelEquivalence:
         np.testing.assert_array_equal(got, want)
         assert got.dtype == np.float64
 
-    def test_float32_banded_and_native(self, rng):
-        extractor = WeightedSVDExtractor()
-        windows = (rng.normal(size=(6, 12, 6)) * 40).astype(np.float32)
-        got = extractor.extract_batch(windows)
-        assert got.dtype == np.float32
-        want64 = _oracle_stack(extractor, windows.astype(np.float64))
-        np.testing.assert_allclose(got, want64, rtol=F32_RTOL, atol=F32_ATOL)
-
     def test_zero_motion_windows_inside_a_batch(self, rng):
         """Degenerate all-zero joints zero out without poisoning neighbours."""
         extractor = WeightedSVDExtractor()
@@ -122,8 +99,21 @@ class TestSVDKernelEquivalence:
         assert np.all(np.isfinite(got))
 
 
+def test_float32_input_is_computed_in_float64(rng):
+    """Kernels and the feature bundle cast any input dtype to float64."""
+    windows = (rng.normal(size=(6, 12, 6)) * 40).astype(np.float32)
+    for extractor in EMG_EXTRACTORS + [WeightedSVDExtractor()]:
+        got = extractor.extract_batch(windows)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(
+            got, extractor.extract_batch(windows.astype(np.float64)))
+    bundle = WindowFeatures(matrix=windows[0], bounds=[(0, 1)] * 12,
+                            names=[str(i) for i in range(6)])
+    assert bundle.matrix.dtype == np.float64
+
+
 class TestFeaturizerEquivalence:
-    """End-to-end: WindowFeaturizer impl='batched' vs. impl='scalar'."""
+    """End-to-end: WindowFeaturizer.features vs. the per-window oracle."""
 
     @pytest.mark.parametrize("n_frames,window_ms,stride_ms", [
         (120, 100.0, None),    # exact division, non-overlapping
@@ -135,11 +125,9 @@ class TestFeaturizerEquivalence:
     ])
     def test_float64_bit_identical(self, n_frames, window_ms, stride_ms):
         record = synthetic_record("wave", n_frames=n_frames, seed=9)
-        batched = WindowFeaturizer(window_ms=window_ms, stride_ms=stride_ms,
-                                   impl="batched")
-        scalar = WindowFeaturizer(window_ms=window_ms, stride_ms=stride_ms,
-                                  impl="scalar")
-        a, b = batched.features(record), scalar.features(record)
+        featurizer = WindowFeaturizer(window_ms=window_ms, stride_ms=stride_ms)
+        a = featurizer.features(record)
+        b = scalar_features(featurizer, record)
         assert a.bounds == b.bounds
         assert a.names == b.names
         np.testing.assert_array_equal(a.matrix, b.matrix)
@@ -151,42 +139,9 @@ class TestFeaturizerEquivalence:
         record = synthetic_record("grasp", n_frames=130, seed=2)
         kwargs = dict(window_ms=100.0, stride_ms=25.0,
                       use_emg=use_emg, use_mocap=use_mocap)
-        a = WindowFeaturizer(impl="batched", **kwargs).features(record)
-        b = WindowFeaturizer(impl="scalar", **kwargs).features(record)
-        np.testing.assert_array_equal(a.matrix, b.matrix)
-
-    def test_float32_banded_against_float64_oracle(self):
-        record = synthetic_record("wave", n_frames=240, seed=5)
-        m32 = WindowFeaturizer(impl="batched", dtype="float32",
-                               stride_ms=25.0).features(record).matrix
-        m64 = WindowFeaturizer(impl="scalar",
-                               stride_ms=25.0).features(record).matrix
-        assert m32.dtype == np.float32
-        np.testing.assert_allclose(m32, m64, rtol=F32_RTOL, atol=F32_ATOL)
-
-    def test_float32_scalar_vs_batched_banded(self):
-        record = synthetic_record("point", n_frames=130, seed=4)
-        a = WindowFeaturizer(impl="batched", dtype="float32").features(record)
-        b = WindowFeaturizer(impl="scalar", dtype="float32").features(record)
-        assert a.matrix.dtype == b.matrix.dtype == np.float32
-        np.testing.assert_allclose(a.matrix, b.matrix,
-                                   rtol=F32_RTOL, atol=F32_ATOL)
-
-    def test_default_impl_is_batched(self):
-        assert WindowFeaturizer().impl == "batched"
-        assert WindowFeaturizer().dtype == "float64"
-
-    def test_fingerprint_shared_in_float64_split_in_float32(self):
-        """float64 batched/scalar share cache entries (bit-identical);
-        float32 batched/scalar never collide (only tolerance-close)."""
-        f64b = WindowFeaturizer(impl="batched").cache_fingerprint()
-        f64s = WindowFeaturizer(impl="scalar").cache_fingerprint()
-        f32b = WindowFeaturizer(impl="batched",
-                                dtype="float32").cache_fingerprint()
-        f32s = WindowFeaturizer(impl="scalar",
-                                dtype="float32").cache_fingerprint()
-        assert f64b == f64s
-        assert len({f64b, f32b, f32s}) == 3
+        featurizer = WindowFeaturizer(**kwargs)
+        np.testing.assert_array_equal(featurizer.features(record).matrix,
+                                      scalar_features(featurizer, record).matrix)
 
 
 class TestStackedSignStabilizationProperties:

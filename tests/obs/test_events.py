@@ -75,8 +75,8 @@ class TestQueryScope:
             assert current_query_id() is None
 
     def test_nested_scope_reuses_outer_id(self):
-        # classify_with_report opens a scope, then its internal
-        # kneighbors call opens another: both must share one id.
+        # classify opens a scope, then the query path it runs opens
+        # another: both must share one id.
         with capture(clock=ManualClock()):
             with query_scope() as outer:
                 with query_scope() as inner:
