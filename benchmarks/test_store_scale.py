@@ -130,7 +130,7 @@ def test_sharded_store_at_1e5_matches_linear_oracle(hand_dataset, tmp_path):
         "oracle_scan_s": oracle_s,
         "recall_at_k": recall_at_k,
         "n_identical": n_identical,
-        "shard_sizes": [int(s) for s in index.shard_sizes],
+        "shard_sizes": [int(s) for s in index.shard_sizes.values()],
     }
     CACHE_DIR.mkdir(exist_ok=True)
     write_json(CACHE_DIR / "store_scale.json", artifact)

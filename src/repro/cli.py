@@ -367,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     s_query.add_argument("--mode", choices=("tenant", "region"),
                          default="tenant",
                          help="shard routing mode (default: tenant)")
-    s_query.add_argument("--backend", choices=("linear", "idistance"),
-                         default="linear",
-                         help="per-shard search backend (default: linear)")
     s_query.add_argument("--tenant", default=None,
                          help="restrict the search to one tenant")
     s_query.add_argument("--seed", type=int, default=0)
@@ -732,8 +729,7 @@ def _cmd_store(args) -> int:
     )
     with capture() as state:
         index = ShardedSignatureIndex(
-            n_shards=args.shards, backend=args.backend, mode=args.mode,
-            seed=args.seed,
+            n_shards=args.shards, mode=args.mode, seed=args.seed,
         ).fit_contents(contents)
         ids, dists = index.query_batch(queries, args.k, tenant=args.tenant)
     payload = collect_payload(state, meta={"command": "store query"})
@@ -743,7 +739,7 @@ def _cmd_store(args) -> int:
     qps = args.queries / query_s if query_s > 0 else float("inf")
     print(f"queried {args.queries} x k={args.k} over {len(contents)} "
           f"records in {index.last_shards_probed} shard(s) "
-          f"[{args.mode}/{args.backend}]: index build {build_s:.3f} s, "
+          f"[{args.mode}]: index build {build_s:.3f} s, "
           f"batch {query_s:.3f} s ({qps:.0f} q/s), "
           f"{index.last_candidates} candidates merged")
     print(f"nearest distances: min {dists.min():.4f}, "

@@ -113,9 +113,10 @@ def run_profile(
             k_eff = min(k, len(train))
             true_labels, predicted = [], []
             for record in test:
+                # Score once; the 1-NN label heads the k-list (run_experiment).
+                result = model.classify_with_report(record, k=k_eff)
                 true_labels.append(record.label)
-                predicted.append(model.classify(record, k=1))
-                model.knn_class_fraction(record, k=k_eff)
+                predicted.append(result.neighbors[0].label)
             if sampler is not None:
                 sampler.sample("queried")
         meta = {

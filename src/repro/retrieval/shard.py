@@ -1,15 +1,18 @@
-"""Tenant/region sharding of the signature indexes (ROADMAP item 2).
+"""Tenant/region sharding of the signature store's k-NN search.
 
 A :class:`ShardRouter` deterministically maps every record to one of
 ``n_shards`` shards — by a stable BLAKE2b hash of its tenant key
 (``mode="tenant"``), or by its nearest cluster-region center
-(``mode="region"``, k-means over the indexed vectors, mirroring how
-iDistance picks its reference points).  :class:`ShardedSignatureIndex`
-builds one per-shard index, fans a batched k-NN query out to the
+(``mode="region"``, k-means over the indexed vectors).
+:class:`ShardedSignatureIndex` fans a batched k-NN query out to the
 relevant shards and merges the per-shard candidates into the final
 top-k.
 
-Exactness is non-negotiable: the merge recomputes every candidate
+Each shard scores a batch with the shared matrix-product kernel
+:func:`repro.utils.distances.squared_distances` and keeps every row
+within a proved rounding margin of its m-th smallest score (see
+:meth:`ShardedSignatureIndex._scan_shard`), a superset of the shard's
+share of the exact answer.  The merge recomputes every candidate
 distance with the *same* row-wise ``einsum`` arithmetic as
 :class:`~repro.retrieval.linear.LinearScanIndex` and breaks ties by
 record id, so the sharded answer is **bit-identical** to a global linear
@@ -33,16 +36,15 @@ from repro.obs.config import (
     record_event,
     span,
 )
-from repro.retrieval.idistance import IDistanceIndex
 from repro.retrieval.knn import NearestNeighborIndex
 from repro.retrieval.store import SignatureStore, StoreContents
+from repro.utils.distances import squared_distances
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_array, check_positive_int
 
 __all__ = ["ShardRouter", "ShardedSignatureIndex", "tenant_shard"]
 
 _ROUTER_MODES = ("tenant", "region")
-_BACKENDS = ("linear", "idistance")
 
 
 def tenant_shard(tenant: str, n_shards: int) -> int:
@@ -125,25 +127,25 @@ class ShardRouter:
             )
         if self._centers is None:
             raise NotFittedError("region-mode ShardRouter used before fit")
-        diff = x[:, None, :] - self._centers[None, :, :]
-        dist = np.sqrt(np.einsum("npd,npd->np", diff, diff))
-        return np.argmin(dist, axis=1).astype(np.int64)
+        return np.argmin(squared_distances(x, self._centers),
+                         axis=1).astype(np.int64)
 
 
 class _Shard:
-    """One shard's slice of the database, id-sorted, plus its index."""
+    """One shard's id-sorted slice of the database and its row norms."""
 
-    def __init__(self, ids: np.ndarray, vectors: np.ndarray,
-                 tenant_codes: np.ndarray, rows: np.ndarray):
-        self.ids = ids
+    def __init__(self, vectors: np.ndarray, tenant_codes: np.ndarray,
+                 rows: np.ndarray, sq_norms: np.ndarray):
         self.vectors = vectors
         self.tenant_codes = tenant_codes
         #: Row positions into the global id-sorted matrix.
         self.rows = rows
-        self.index: Optional[IDistanceIndex] = None
+        #: ``‖v‖²`` per row and their maximum; fixed once the shard is built.
+        self.sq_norms = sq_norms
+        self.max_sq = float(sq_norms.max())
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.rows)
 
 
 class ShardedSignatureIndex(NearestNeighborIndex):
@@ -153,16 +155,10 @@ class ShardedSignatureIndex(NearestNeighborIndex):
     ----------
     n_shards:
         Number of shards the database is routed into.
-    backend:
-        Per-shard search backend: ``"linear"`` (vectorized scan) or
-        ``"idistance"`` (per-shard :class:`IDistanceIndex`, pruning
-        candidates before the exact merge).
     mode:
         Router mode (see :class:`ShardRouter`).
-    n_partitions:
-        Reference points per shard for the iDistance backend.
     seed:
-        Seed for router region centers and iDistance partitioning.
+        Seed for router region centers.
     router:
         Pre-built router to reuse; overrides ``n_shards``/``mode``.
     """
@@ -170,24 +166,14 @@ class ShardedSignatureIndex(NearestNeighborIndex):
     def __init__(
         self,
         n_shards: int = 4,
-        backend: str = "linear",
         mode: str = "tenant",
-        n_partitions: int = 8,
         seed: SeedLike = 0,
         router: Optional[ShardRouter] = None,
     ):
-        if backend not in _BACKENDS:
-            raise RetrievalError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
         self.router = router if router is not None else ShardRouter(
             n_shards=n_shards, mode=mode, seed=seed
         )
         self.n_shards = self.router.n_shards
-        self.backend = backend
-        self.n_partitions = check_positive_int(n_partitions,
-                                               name="n_partitions")
-        self.seed = seed
         self._shards: Optional[Dict[int, _Shard]] = None
         self._ids: Optional[np.ndarray] = None
         self._vectors: Optional[np.ndarray] = None
@@ -210,14 +196,14 @@ class ShardedSignatureIndex(NearestNeighborIndex):
 
     def fit_store(self, store: SignatureStore,
                   tenant: Optional[str] = None) -> "ShardedSignatureIndex":
-        """Build the per-shard indexes from a persisted store's segments."""
+        """Build the shards from a persisted store's segments."""
         contents = store.records(tenant=tenant)
         if len(contents) == 0:
             raise RetrievalError("cannot index an empty signature store")
         return self.fit_contents(contents)
 
     def fit_contents(self, contents: StoreContents) -> "ShardedSignatureIndex":
-        """Build the per-shard indexes from loaded store contents."""
+        """Build the shards from loaded store contents."""
         return self.fit_arrays(contents.ids, contents.vectors,
                                list(contents.tenants))
 
@@ -230,7 +216,7 @@ class ShardedSignatureIndex(NearestNeighborIndex):
         """Index ``(ids, vectors, tenants)`` triples.
 
         Rows are canonicalized to ascending id order (the oracle order)
-        before routing, so per-shard tie-breaking by row position equals
+        before routing, so tie-breaking by global row position equals
         tie-breaking by record id.
         """
         x = check_array(vectors, name="vectors", ndim=2, allow_empty=False)
@@ -256,23 +242,21 @@ class ShardedSignatureIndex(NearestNeighborIndex):
                             dtype=np.int64, count=len(tenant_list))
 
         with span("store.index_build", n_records=x.shape[0],
-                  n_shards=self.n_shards, backend=self.backend):
+                  n_shards=self.n_shards):
             self.router.fit(x)
             assignment = self.router.assign(tenant_list, x)
+            sq_norms = np.einsum("nd,nd->n", x, x)
+            if not np.isfinite(sq_norms).all():
+                raise RetrievalError("squared vector norms overflow float64")
             shards: Dict[int, _Shard] = {}
             for shard_id in np.unique(assignment):
                 rows = np.flatnonzero(assignment == shard_id)
-                shard = _Shard(
-                    ids=id_arr[rows],
+                shards[int(shard_id)] = _Shard(
                     vectors=x[rows],
                     tenant_codes=codes[rows],
                     rows=rows,
+                    sq_norms=sq_norms[rows],
                 )
-                if self.backend == "idistance" and len(shard) > 1:
-                    shard.index = IDistanceIndex(
-                        n_partitions=self.n_partitions, seed=self.seed
-                    ).fit(shard.vectors)
-                shards[int(shard_id)] = shard
         self._shards = shards
         self._ids = id_arr
         self._vectors = x
@@ -310,12 +294,12 @@ class ShardedSignatureIndex(NearestNeighborIndex):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched k-NN fan-out: ``(n_queries, k)`` ids and distances.
 
-        Each probed shard contributes its exact per-shard top-k (ranked
-        by ``(distance, id)``); the union is re-ranked with distances
-        recomputed in the oracle's own arithmetic, which makes the final
-        answer bit-identical to a global
-        :class:`~repro.retrieval.linear.LinearScanIndex` over the same
-        (optionally tenant-filtered) records.
+        Each probed shard contributes a candidate superset of its share
+        of the exact top-k (see :meth:`_scan_shard`); the union is
+        re-ranked with distances recomputed in the oracle's own
+        arithmetic, which makes the final answer bit-identical to a
+        global :class:`~repro.retrieval.linear.LinearScanIndex` over the
+        same (optionally tenant-filtered) records.
         """
         if self._shards is None or self._vectors is None or self._ids is None:
             raise NotFittedError("ShardedSignatureIndex used before fit")
@@ -345,7 +329,7 @@ class ShardedSignatureIndex(NearestNeighborIndex):
                 record_counter("store.shards_probed",
                                len(shard_ids) * q.shape[0])
                 record_counter("store.candidates", self.last_candidates)
-                record_event("store.query", backend=self.backend,
+                record_event("store.query",
                              n_queries=int(q.shape[0]), k=k,
                              shards_probed=int(len(shard_ids)),
                              candidates=int(self.last_candidates))
@@ -388,49 +372,60 @@ class ShardedSignatureIndex(NearestNeighborIndex):
                  tenant_code: Optional[int]) -> List[List[np.ndarray]]:
         """Per-query lists of candidate global row positions."""
         assert self._shards is not None
-        n_queries = q.shape[0]
-        candidates: List[List[np.ndarray]] = [[] for _ in range(n_queries)]
+        # 8·γ_{d+2} with γ_n = nε/(1 − nε); see _scan_shard.
+        n_eps = (q.shape[1] + 2) * np.finfo(np.float64).eps
+        scale = 8.0 * n_eps / (1.0 - n_eps)
+        q_sq = np.einsum("qd,qd->q", q, q)
+        if not np.isfinite(q_sq).all():
+            raise RetrievalError("squared query norms overflow float64")
+        candidates: List[List[np.ndarray]] = [[] for _ in range(q.shape[0])]
         for sid in shard_ids:
             shard = self._shards[sid]
+            rows, vectors, sq_norms = shard.rows, shard.vectors, shard.sq_norms
             if tenant_code is not None:
                 mask = shard.tenant_codes == tenant_code
                 if not mask.any():
                     continue
-                rows = shard.rows[mask]
-                vectors = shard.vectors[mask]
-                self._scan_shard(q, k, rows, vectors, candidates)
-            elif shard.index is not None:
-                m = min(k, len(shard))
-                for qi in range(n_queries):
-                    local, _ = shard.index.query(q[qi], m)
-                    candidates[qi].append(shard.rows[local])
-            else:
-                self._scan_shard(q, k, shard.rows, shard.vectors, candidates)
+                rows, vectors = rows[mask], vectors[mask]
+                sq_norms = sq_norms[mask]
+            self._scan_shard(q, k, rows, vectors, sq_norms,
+                             scale * (q_sq + shard.max_sq), candidates)
         return candidates
 
-    #: Element budget for one ``(chunk, n, d)`` scan temporary (~32 MB
-    #: at float64).  Chunking the query axis leaves every row's einsum
-    #: contraction untouched, so results stay bit-identical.
-    _SCAN_CHUNK_ELEMENTS = 4_000_000
-
-    @classmethod
-    def _scan_shard(cls, q: np.ndarray, k: int, rows: np.ndarray,
-                    vectors: np.ndarray,
+    @staticmethod
+    def _scan_shard(q: np.ndarray, k: int, rows: np.ndarray,
+                    vectors: np.ndarray, sq_norms: np.ndarray,
+                    margin: np.ndarray,
                     candidates: List[List[np.ndarray]]) -> None:
-        """Vectorized per-shard scan: exact top-m rows for every query."""
-        m = min(k, vectors.shape[0])
-        per_query = max(1, vectors.shape[0] * vectors.shape[1])
-        chunk = max(1, cls._SCAN_CHUNK_ELEMENTS // per_query)
-        for start in range(0, q.shape[0], chunk):
-            stop = min(start + chunk, q.shape[0])
-            diff = vectors[None, :, :] - q[start:stop, None, :]
-            dists = np.sqrt(np.einsum("qnd,qnd->qn", diff, diff))
-            for qi in range(start, stop):
-                # Exact per-shard ranking with the same (distance, id)
-                # tie rule as the merge, so the union provably contains
-                # the global top-k.
-                top = np.lexsort((rows, dists[qi - start]))[:m]
-                candidates[qi].append(rows[top])
+        """Append a superset of the shard's exact top-m rows per query.
+
+        ``m = min(k, n)``.  Rows whose kernel score ``e`` is within
+        ``margin = 8·γ_{d+2}·(‖q‖² + M)`` of the m-th smallest score ``E``
+        are kept; ``M``, the shard's largest ``‖v‖²``, bounds any subset
+        too.  Proof (at length in docs/RETRIEVAL.md), with ``u = ε/2``,
+        ``t = ‖v − q‖²``, no underflow and finite norms (checked):
+
+        1. Each term of the expansion sees at most d + 2 roundings in any
+           summation order, with or without FMA, so ``|e − t| <=
+           γ_{d+2}(u)·Σⱼ(|vⱼ| + |qⱼ|)² <= 2γ_{d+2}(u)(‖q‖² + ‖v‖²)``.
+        2. The oracle ranks by ``s = fl(√o)``, ``o`` its einsum of squared
+           differences, so ``|s² − t| <= γ_{d+4}(u)·t`` and
+           ``|e − s²| <= H = 2(γ_{d+2}(u) + γ_{d+4}(u))(‖q‖² + M)``.
+        3. The m rows with ``e <= E`` have ``s² <= E + H``; a row of the
+           shard's oracle top-m has ``s²`` at most the m-th smallest, so
+           ``e <= E + 2H``.  ``8γ_{d+2}(ε) >= 16γ_{d+2}(u)`` exceeds ``2H``
+           by ``16u·(‖q‖² + M)``, which covers rounding the test itself.
+        4. A global top-k row in this shard has fewer than k rows ahead
+           of it, so it is in the shard's oracle top-m and is kept, as
+           are exact duplicates, ties and values ``sqrt`` rounds onto the
+           m-th distance.
+        """
+        d2 = squared_distances(vectors, q, x_sq=sq_norms)
+        m = min(k, len(rows))
+        kth = np.partition(d2, m - 1, axis=0)[m - 1]
+        keep = d2 <= kth + margin
+        for qi in range(q.shape[0]):
+            candidates[qi].append(rows[keep[:, qi]])
 
     def _merge(self, q: np.ndarray, k: int,
                candidates: List[List[np.ndarray]],

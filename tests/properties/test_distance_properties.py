@@ -3,7 +3,8 @@
 Random point and center counts, dimensions, offsets from the origin and
 scales; :func:`repro.utils.distances.squared_distances` must stay within
 ``16·ε·(‖x‖² + ‖v‖²)`` of the naive loop of the oracle tier
-(``tests/fuzzy/test_cmeans_oracle.py``) and never go negative.  Skipped
+(``tests/fuzzy/test_cmeans_oracle.py``) and never go negative, and
+precomputed row norms (``x_sq``) must not change a single bit.  Skipped
 entirely when ``hypothesis`` is not installed.
 """
 
@@ -44,3 +45,5 @@ def test_squared_distances_within_band(n, c, d, offset, scale, seed):
     assert np.all(d2 >= 0.0)
     assert np.all(np.abs(d2 - naive_squared_distances(x, centers))
                   <= distance_band(x, centers))
+    x_sq = np.einsum("nd,nd->n", x, x)
+    assert np.array_equal(squared_distances(x, centers, x_sq=x_sq), d2)

@@ -1,6 +1,6 @@
 """Property-based tests for the signature store and shard router.
 
-Three invariants that must hold for *arbitrary* inputs, not just the
+Four invariants that must hold for *arbitrary* inputs, not just the
 hand-picked fixtures:
 
 * segment round-trip identity — what goes in comes out bit-for-bit,
@@ -9,7 +9,10 @@ hand-picked fixtures:
   :func:`scan_segment` recovers exactly the complete records before the
   cut, never a partial one;
 * router stability — the tenant→shard assignment is a pure function of
-  the key and shard count, identical across router instances and runs.
+  the key and shard count, identical across router instances and runs;
+* sharded search exactness — ``query_batch`` returns the linear-scan
+  oracle's ids and distances bit for bit, at any size, dimension and
+  scale.
 
 Skipped entirely when ``hypothesis`` is not installed.
 """
@@ -26,7 +29,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.retrieval.shard import ShardRouter, tenant_shard  # noqa: E402
+from repro.retrieval.linear import LinearScanIndex  # noqa: E402
+from repro.retrieval.shard import (  # noqa: E402
+    ShardedSignatureIndex,
+    ShardRouter,
+    tenant_shard,
+)
 from repro.retrieval.store import (  # noqa: E402
     SignatureStore,
     record_width,
@@ -138,3 +146,39 @@ def test_router_assign_matches_elementwise(tenants, n_shards):
     assigned = router.assign(tenants, np.zeros((len(tenants), 2)))
     expected = [tenant_shard(t, n_shards) for t in tenants]
     assert list(assigned) == expected
+
+
+@SETTINGS
+@given(
+    n=st.integers(min_value=1, max_value=60),
+    dim=st.integers(min_value=1, max_value=10),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    offset=st.sampled_from([0.0, 1.0, 1e4]),
+    n_shards=st.integers(min_value=1, max_value=8),
+    k_frac=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sharded_query_batch_equals_oracle(n, dim, scale, offset, n_shards,
+                                           k_frac, seed):
+    gen = np.random.default_rng(seed)
+    # Rows drawn around a few anchors, 1e-6 apart, plus an exact
+    # duplicate: the near-ties a candidate cut can break.
+    anchors = offset + scale * gen.normal(size=(1 + n // 6, dim))
+    vectors = (anchors[gen.integers(0, len(anchors), size=n)]
+               + 1e-6 * scale * gen.normal(size=(n, dim)))
+    vectors[n // 2] = vectors[0]
+    queries = np.vstack([
+        offset + scale * gen.normal(size=(5, dim)),
+        vectors[gen.integers(0, n, size=3)],
+    ])
+    k = 1 + int(k_frac * (n - 1))
+    index = ShardedSignatureIndex(n_shards=n_shards, seed=0).fit_arrays(
+        np.arange(n, dtype=np.uint64), vectors,
+        [f"t-{i % 4}" for i in range(n)],
+    )
+    ids, dists = index.query_batch(queries, k)
+    oracle = LinearScanIndex().fit(vectors)
+    for qi, q in enumerate(queries):
+        oracle_ids, oracle_dists = oracle.query(q, k)
+        assert np.array_equal(ids[qi], oracle_ids)
+        assert np.array_equal(dists[qi], oracle_dists)

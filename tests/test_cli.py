@@ -359,7 +359,7 @@ class TestStoreCommand:
         assert args.k == 5
         assert args.shards == 4
         assert args.mode == "tenant"
-        assert args.backend == "linear"
+        assert not hasattr(args, "backend")
         assert args.tenant is None
 
     def test_ingest_then_stats(self, tmp_path, capsys):
@@ -406,15 +406,13 @@ class TestStoreCommand:
         assert code == 0
         assert "oracle check OK" in out
 
-    def test_query_idistance_backend_and_tenant_filter(self, tmp_path,
-                                                       capsys):
+    def test_query_tenant_filter(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         self._ingest(store_dir)
         capsys.readouterr()
         code = main([
             "store", "query", "--store", str(store_dir),
-            "--queries", "8", "--k", "2", "--backend", "idistance",
-            "--tenant", "tenant-00000",
+            "--queries", "8", "--k", "2", "--tenant", "tenant-00000",
         ])
         out = capsys.readouterr().out
         assert code == 0
