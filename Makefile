@@ -33,7 +33,9 @@ sweep-guard:
 
 store-guard:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/retrieval tests/data/test_population.py \
-		tests/properties/test_store_properties.py benchmarks/test_store_scale.py -q
+		tests/properties/test_store_properties.py tests/properties/test_idistance_properties.py \
+		benchmarks/test_store_scale.py benchmarks/test_dynamic_index.py \
+		benchmarks/test_ablation_idistance.py -q
 
 perfbench-tests:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest perfbench/tests -q

@@ -4,8 +4,8 @@ Section 4: "For fast searching, our extracted feature vectors can be
 applied to any indexing technique to prune irrelevant motions", citing
 iDistance (Yu et al., VLDB'01) in related work.  This benchmark indexes the
 fitted database signatures with both backends, verifies the retrieved
-neighbours are identical for every test query, and reports iDistance's
-candidate-pruning ratio.
+neighbour ids and distances are bit-identical for every test query, and
+reports iDistance's candidate-pruning ratio.
 """
 
 import numpy as np
@@ -35,7 +35,7 @@ def test_ablation_idistance(hand_split, benchmark):
             li, ld = linear.query(q, k=5)
             ii, idd = idist.query(q, k=5)
             assert np.array_equal(li, ii)
-            assert np.allclose(ld, idd)
+            assert np.array_equal(ld, idd)
             examined += idist.last_candidates
         return examined
 

@@ -11,7 +11,9 @@ baseline) and reports when a refit is due.
 
 :class:`IncrementalMotionDatabase` wraps a fitted
 :class:`~repro.core.model.MotionClassifier` with ``add``/``remove``/k-NN
-operations backed by the B+-tree iDistance index.
+operations backed by the online inserts and deletes of
+:class:`~repro.retrieval.idistance.IDistanceIndex`, whose answers stay
+bit-identical to a linear scan over the current contents.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from repro.core.model import MotionClassifier, RetrievedNeighbor
 from repro.data.record import RecordedMotion
 from repro.errors import NotFittedError, RetrievalError
-from repro.retrieval.dynamic import DynamicIDistanceIndex
+from repro.retrieval.idistance import IDistanceIndex
 from repro.retrieval.knn import knn_vote
 from repro.utils.validation import check_in_range
 
@@ -45,9 +47,9 @@ class IncrementalMotionDatabase:
     classifier:
         A fitted :class:`~repro.core.model.MotionClassifier`; its FCM
         centers, scaler and featurizer are frozen and shared.
-    n_partitions, headroom:
+    n_partitions:
         Forwarded to the backing
-        :class:`~repro.retrieval.dynamic.DynamicIDistanceIndex`.
+        :class:`~repro.retrieval.idistance.IDistanceIndex`.
     drift_tolerance:
         Fraction by which the mean highest membership of *added* windows
         may fall below the fit-time baseline before :attr:`refit_recommended`
@@ -61,7 +63,6 @@ class IncrementalMotionDatabase:
         self,
         classifier: MotionClassifier,
         n_partitions: int = 8,
-        headroom: float = 4.0,
         drift_tolerance: float = 0.25,
     ):
         if not classifier.is_fitted:
@@ -73,9 +74,7 @@ class IncrementalMotionDatabase:
             drift_tolerance, name="drift_tolerance", low=0.0, high=1.0
         )
         signatures = classifier.database_signatures
-        self._index = DynamicIDistanceIndex(
-            n_partitions=n_partitions, headroom=headroom
-        ).fit(signatures)
+        self._index = IDistanceIndex(n_partitions=n_partitions).fit(signatures)
         self._entries: Dict[int, _Entry] = {
             i: _Entry(key=key, label=label)
             for i, (key, label) in enumerate(

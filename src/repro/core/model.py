@@ -50,7 +50,7 @@ from repro.obs.config import (
 from repro.parallel.cache import FeatureCache
 from repro.parallel.executor import BACKENDS, effective_n_jobs
 from repro.parallel.runner import featurize_records
-from repro.retrieval.knn import NearestNeighborIndex, knn_vote
+from repro.retrieval.knn import knn_vote
 from repro.retrieval.linear import LinearScanIndex
 from repro.robust.featurize import RobustFeaturizer
 from repro.robust.policy import DegradationPolicy, resolve_policy
@@ -123,8 +123,6 @@ class MotionClassifier:
         ``(n_clusters) -> estimator`` with a compatible ``fit``.  A custom
         fuzzy factory must use the same fuzzifier as this classifier's ``m``,
         which drives the query-side Eq. 9 memberships.
-    index_factory:
-        Signature search backend; defaults to linear scan as in the paper.
     n_init:
         Clustering restarts.
     n_jobs:
@@ -158,7 +156,6 @@ class MotionClassifier:
         featurizer: Optional[WindowFeaturizer] = None,
         scaler_mode: str = "zscore",
         clusterer: Union[str, Callable[[int], object]] = "fcm",
-        index_factory: Optional[Callable[[], NearestNeighborIndex]] = None,
         n_init: int = 1,
         n_jobs: int = 1,
         backend: str = "auto",
@@ -175,7 +172,6 @@ class MotionClassifier:
             self.featurizer = RobustFeaturizer(self.featurizer, self.robust_policy)
         self.scaler = FeatureScaler(mode=scaler_mode)
         self.clusterer = clusterer
-        self.index_factory = index_factory or LinearScanIndex
         self.n_init = check_positive_int(n_init, name="n_init")
         self.n_jobs = effective_n_jobs(n_jobs)
         if backend not in BACKENDS:
@@ -191,7 +187,7 @@ class MotionClassifier:
         self._signatures: Optional[np.ndarray] = None
         self._labels: List[str] = []
         self._keys: List[str] = []
-        self._index: Optional[NearestNeighborIndex] = None
+        self._index: Optional[LinearScanIndex] = None
         self._soft_memberships = True
         self._baseline: Optional[BaselineSnapshot] = None
         self._health: Optional[DriftMonitor] = None
@@ -260,9 +256,8 @@ class MotionClassifier:
             self._signatures = np.vstack(signatures)
             self._labels = [rec.label for rec in database]
             self._keys = [rec.key for rec in database]
-            index = self.index_factory()
-            with span("retrieval.index_build", backend=type(index).__name__):
-                self._index = index.fit(self._signatures)
+            with span("retrieval.index_build", backend="LinearScanIndex"):
+                self._index = LinearScanIndex().fit(self._signatures)
             sp.set(n_windows=all_windows.shape[0], n_dims=all_windows.shape[1])
             record_gauge("model.n_windows", all_windows.shape[0])
             record_gauge("model.n_dims", all_windows.shape[1])

@@ -9,11 +9,8 @@ indexing technique to prune irrelevant motions."
   uses);
 * :mod:`repro.retrieval.idistance` — the iDistance index (Yu et al.,
   VLDB'01, the paper's reference [14]) as the "any indexing technique",
-  verified to return identical neighbours while pruning most candidates;
-* :mod:`repro.retrieval.bptree` — the B+-tree the original iDistance design
-  stores its keys in;
-* :mod:`repro.retrieval.dynamic` — a B+-tree-backed iDistance supporting
-  online inserts and deletes;
+  with online inserts and deletes; bit-identical to the linear scan while
+  pruning most candidates;
 * :mod:`repro.retrieval.knn` — k-NN voting and retrieval-quality helpers;
 * :mod:`repro.retrieval.store` — the persistent, partitioned signature
   store (CRC-checked append-only segments + atomic JSON manifest);
@@ -23,8 +20,6 @@ indexing technique to prune irrelevant motions."
 
 from repro.retrieval.linear import LinearScanIndex
 from repro.retrieval.idistance import IDistanceIndex
-from repro.retrieval.bptree import BPlusTree
-from repro.retrieval.dynamic import DynamicIDistanceIndex
 from repro.retrieval.knn import NearestNeighborIndex, knn_vote
 from repro.retrieval.store import (
     CompactionResult,
@@ -41,8 +36,6 @@ from repro.retrieval.shard import ShardRouter, ShardedSignatureIndex, tenant_sha
 __all__ = [
     "LinearScanIndex",
     "IDistanceIndex",
-    "BPlusTree",
-    "DynamicIDistanceIndex",
     "NearestNeighborIndex",
     "knn_vote",
     "SignatureStore",

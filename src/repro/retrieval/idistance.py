@@ -2,26 +2,30 @@
 
 iDistance maps every high-dimensional point to a single scalar key: the
 dataset is partitioned around reference points, and a point ``p`` assigned to
-partition ``j`` gets the key ``j * C + ||p − ref_j||`` where ``C`` exceeds
-any within-partition distance, so partitions occupy disjoint key intervals.
-The keys live in a sorted array (standing in for the B⁺-tree of the paper);
+partition ``j`` is keyed by its distance ``||p − ref_j||``.  Each partition
+keeps its keys in one sorted array.  (The paper's B⁺-tree holds all
+partitions at once, offset by ``j·C``; separate arrays need no ``C``, so a
+vector inserted anywhere lands in its nearest reference's partition.)
 k-NN proceeds by expanding-radius annulus searches:
 
-* a query ``q`` with current radius ``r`` needs, in partition ``j`` with
-  radius ``r_max_j``, only the keys in
-  ``[j·C + max(0, d(q, ref_j) − r), j·C + min(r_max_j, d(q, ref_j) + r)]``
-  (the triangle inequality bounds every point that can be within ``r``);
-* the radius grows until the k-th best exact distance is ≤ ``r``, which
-  proves no unexamined point can be closer.
+* a query ``q`` with current radius ``r`` needs, in partition ``j``, only the
+  keys in ``[d(q, ref_j) − r, d(q, ref_j) + r]`` (the triangle inequality
+  bounds every point that can be within ``r``);
+* each round gathers those points and scores them with the row-wise
+  arithmetic of :class:`~repro.retrieval.linear.LinearScanIndex`;
+* the radius grows until the k-th best distance is at most ``r`` less a
+  rounding slack, which proves no unexamined point can be nearer or tied.
 
-The implementation is exact: the test-suite verifies identical results to
-:class:`~repro.retrieval.linear.LinearScanIndex`, and the benchmark reports
-the candidate-pruning ratio.
+The answer is bit-identical to a linear scan over the live vectors in id
+order, through any sequence of :meth:`~IDistanceIndex.fit`,
+:meth:`~IDistanceIndex.insert` and :meth:`~IDistanceIndex.remove`;
+``docs/RETRIEVAL.md`` derives the slack, the test-suite pins the equality,
+and the benchmark reports the candidate-pruning ratio.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -40,49 +44,39 @@ from repro.utils.validation import check_array, check_positive_int, shapes
 
 __all__ = ["IDistanceIndex"]
 
+#: First search radius as a fraction of the largest key.
+_INITIAL_RADIUS_FRACTION = 0.1
+#: Multiplicative radius growth per search round.
+_RADIUS_GROWTH = 2.0
+
 
 class IDistanceIndex(NearestNeighborIndex):
-    """Exact k-NN via one-dimensional iDistance keys.
+    """Exact k-NN via one-dimensional iDistance keys, with online updates.
 
     Parameters
     ----------
     n_partitions:
         Number of reference points; the original paper picks cluster centers,
-        and so do we (k-means on the indexed vectors).
-    initial_radius_fraction:
-        First search radius as a fraction of the largest partition radius.
-    radius_growth:
-        Multiplicative radius growth per round.
+        and so do we (k-means on the fitted vectors).
     seed:
         Seed for the reference-point clustering (index construction is
         deterministic given it).
+
+    :meth:`fit` numbers its rows ``0..n-1``; :meth:`insert` hands out the
+    next id, and a removed id is never reused.
     """
 
-    def __init__(
-        self,
-        n_partitions: int = 8,
-        initial_radius_fraction: float = 0.1,
-        radius_growth: float = 2.0,
-        seed: SeedLike = 0,
-    ):
+    def __init__(self, n_partitions: int = 8, seed: SeedLike = 0):
         self.n_partitions = check_positive_int(n_partitions, name="n_partitions")
-        if not 0 < initial_radius_fraction <= 1:
-            raise RetrievalError(
-                f"initial_radius_fraction must be in (0, 1], got {initial_radius_fraction}"
-            )
-        if not radius_growth > 1:
-            raise RetrievalError(f"radius_growth must exceed 1, got {radius_growth}")
-        self.initial_radius_fraction = initial_radius_fraction
-        self.radius_growth = radius_growth
         self.seed = seed
-        self._vectors: Optional[np.ndarray] = None
         self._refs: Optional[np.ndarray] = None
-        self._assignment: Optional[np.ndarray] = None
-        self._radial: Optional[np.ndarray] = None  # distance to own reference
-        self._r_max: Optional[np.ndarray] = None
-        self._keys: Optional[np.ndarray] = None  # sorted
-        self._order: Optional[np.ndarray] = None  # original index per key slot
-        self._c: float = 0.0
+        # Row i holds the vector of id i, removed or not.
+        self._vectors: Optional[np.ndarray] = None
+        # Partition of id i, -1 once removed.
+        self._partition: Optional[np.ndarray] = None
+        # Per partition: ascending keys and the ids that own them.
+        self._keys: List[np.ndarray] = []
+        self._members: List[np.ndarray] = []
         #: Candidates examined by the last query (for pruning statistics).
         self.last_candidates: int = 0
         #: Search rounds used by the last query.
@@ -92,10 +86,9 @@ class IDistanceIndex(NearestNeighborIndex):
 
     @shapes(vectors="(n, d)")
     def fit(self, vectors: np.ndarray) -> "IDistanceIndex":
-        """Build reference points, keys and the sorted key array."""
+        """Build reference points and every partition's sorted keys."""
         x = check_array(vectors, name="vectors", ndim=2, allow_empty=False)
-        n = x.shape[0]
-        n_parts = min(self.n_partitions, n)
+        n_parts = min(self.n_partitions, x.shape[0])
         if n_parts >= 2:
             refs = KMeans(n_clusters=n_parts, n_init=1).fit(x, seed=self.seed).centers
         else:
@@ -103,52 +96,75 @@ class IDistanceIndex(NearestNeighborIndex):
         diff = x[:, None, :] - refs[None, :, :]
         dist = np.sqrt(np.einsum("npd,npd->np", diff, diff))
         assignment = np.argmin(dist, axis=1)
-        radial = dist[np.arange(n), assignment]
-        r_max = np.zeros(refs.shape[0])
-        for j in range(refs.shape[0]):
-            mask = assignment == j
-            if mask.any():
-                r_max[j] = radial[mask].max()
-        # The key stretch constant must strictly dominate any radial
-        # distance so partitions never overlap in key space.
-        self._c = float(r_max.max() * 2.0 + 1.0)
-        keys = assignment * self._c + radial
-        order = np.argsort(keys, kind="stable")
-        self._vectors = x
+        radial = dist[np.arange(x.shape[0]), assignment]
         self._refs = refs
-        self._assignment = assignment
-        self._radial = radial
-        self._r_max = r_max
-        self._keys = keys[order]
-        self._order = order
+        self._vectors = x
+        self._partition = assignment
+        self._keys, self._members = [], []
+        for j in range(refs.shape[0]):
+            members = np.flatnonzero(assignment == j)
+            order = np.argsort(radial[members], kind="stable")
+            self._keys.append(radial[members][order])
+            self._members.append(members[order])
         return self
+
+    def insert(self, vector: np.ndarray) -> int:
+        """Index one more vector; returns its id."""
+        refs = self._fitted_refs()
+        assert self._vectors is not None and self._partition is not None
+        vector = check_array(vector, name="vector", ndim=1)
+        if len(vector) != refs.shape[1]:
+            raise RetrievalError(
+                f"vector has {len(vector)} dims, index holds "
+                f"{refs.shape[1]}-dim vectors"
+            )
+        diff = refs - vector
+        dist = np.sqrt(np.einsum("pd,pd->p", diff, diff))
+        j = int(np.argmin(dist))
+        vid = len(self._partition)
+        self._vectors = np.vstack([self._vectors, vector])
+        self._partition = np.append(self._partition, j)
+        slot = int(np.searchsorted(self._keys[j], dist[j], side="right"))
+        self._keys[j] = np.insert(self._keys[j], slot, dist[j])
+        self._members[j] = np.insert(self._members[j], slot, vid)
+        return vid
+
+    def remove(self, vid: int) -> bool:
+        """Delete the vector with id ``vid``; returns whether it was indexed."""
+        self._fitted_refs()
+        assert self._partition is not None
+        if not 0 <= vid < len(self._partition) or self._partition[vid] < 0:
+            return False
+        j = int(self._partition[vid])
+        self._partition[vid] = -1
+        slot = int(np.flatnonzero(self._members[j] == vid)[0])
+        self._keys[j] = np.delete(self._keys[j], slot)
+        self._members[j] = np.delete(self._members[j], slot)
+        return True
 
     @property
     def n_indexed(self) -> int:
-        """Number of indexed vectors."""
-        if self._vectors is None:
+        """Number of currently indexed vectors."""
+        self._fitted_refs()
+        return sum(len(members) for members in self._members)
+
+    def _fitted_refs(self) -> np.ndarray:
+        if self._refs is None:
             raise NotFittedError("IDistanceIndex used before fit")
-        return self._vectors.shape[0]
+        return self._refs
 
     # ------------------------------------------------------------------
 
     @shapes(vector="(d,)")
     def query(self, vector: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact k-NN by expanding annulus search over the key array."""
-        if (
-            self._vectors is None
-            or self._refs is None
-            or self._keys is None
-            or self._order is None
-            or self._r_max is None
-        ):
-            raise NotFittedError("IDistanceIndex used before fit")
-        x = self._vectors
-        vector = self._check_query(vector, k, x.shape[0], x.shape[1])
-        with span("retrieval.idistance_query", k=k, n_indexed=x.shape[0]) as sp:
-            result = self._search(x, vector, k)
+        """Exact k-NN by expanding annulus search over the partitions' keys."""
+        refs = self._fitted_refs()
+        n = self.n_indexed
+        vector = self._check_query(vector, k, n, refs.shape[1])
+        with span("retrieval.idistance_query", k=k, n_indexed=n) as sp:
+            result = self._search(refs, vector, k)
             if is_enabled():
-                pruning = 1.0 - self.last_candidates / x.shape[0]
+                pruning = 1.0 - self.last_candidates / n
                 record_counter("retrieval.idistance.queries")
                 record_counter("retrieval.idistance.candidates",
                                self.last_candidates)
@@ -162,54 +178,37 @@ class IDistanceIndex(NearestNeighborIndex):
         return result
 
     def _search(
-        self, x: np.ndarray, vector: np.ndarray, k: int
+        self, refs: np.ndarray, vector: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        assert self._refs is not None and self._r_max is not None
-        assert self._keys is not None and self._order is not None
-        ref_diff = self._refs - vector
-        ref_dist = np.sqrt(np.einsum("pd,pd->p", ref_diff, ref_diff))
-        max_possible = float(ref_dist.max() + self._r_max.max())
-        radius = max(self.initial_radius_fraction * float(self._r_max.max()), 1e-9)
-
-        seen = np.zeros(x.shape[0], dtype=bool)
-        best_idx: list[int] = []
-        best_dist: list[float] = []
-        self.last_candidates = 0
+        assert self._vectors is not None
+        diff = refs - vector
+        ref_dist = np.sqrt(np.einsum("pd,pd->p", diff, diff))
+        rho_max = float(ref_dist.max())
+        r_max = max(float(keys[-1]) for keys in self._keys if len(keys))
+        max_possible = rho_max + r_max
+        radius = max(_INITIAL_RADIUS_FRACTION * r_max, 1e-9)
+        # Stop-rule slack η·(r + rho_max), η = 2·γ_{d+3} with
+        # γ_n = nε/(1 − nε); see docs/RETRIEVAL.md.  At max_possible every
+        # key is in range.
+        n_eps = (refs.shape[1] + 3) * np.finfo(np.float64).eps
+        eta = 2.0 * n_eps / (1.0 - n_eps)
         self.last_rounds = 0
-
         while True:
             self.last_rounds += 1
-            for j in range(self._refs.shape[0]):
-                # Partition j can contain a point within `radius` of q only
-                # if the ball intersects the partition's sphere shell.
-                if ref_dist[j] - radius > self._r_max[j]:
-                    continue
-                low = j * self._c + max(0.0, ref_dist[j] - radius)
-                high = j * self._c + min(self._r_max[j], ref_dist[j] + radius)
-                lo = int(np.searchsorted(self._keys, low, side="left"))
-                hi = int(np.searchsorted(self._keys, high, side="right"))
-                for slot in range(lo, hi):
-                    idx = int(self._order[slot])
-                    if seen[idx]:
-                        continue
-                    seen[idx] = True
-                    self.last_candidates += 1
-                    d = float(np.linalg.norm(x[idx] - vector))
-                    best_idx.append(idx)
-                    best_dist.append(d)
-            if len(best_idx) >= k:
-                dist_arr = np.asarray(best_dist)
-                idx_arr = np.asarray(best_idx)
-                order = np.lexsort((idx_arr, dist_arr))[:k]
-                # Stop when the k-th candidate distance is certified: no
-                # unexamined point can be nearer than the current radius.
-                if dist_arr[order[-1]] <= radius or radius >= max_possible:
-                    return idx_arr[order], dist_arr[order]
-            if radius >= max_possible:
-                # Fewer than k points exist in range (cannot happen after
-                # _check_query, but guards against float-edge loops).
-                dist_arr = np.asarray(best_dist)
-                idx_arr = np.asarray(best_idx)
-                order = np.lexsort((idx_arr, dist_arr))[:k]
-                return idx_arr[order], dist_arr[order]
-            radius = min(radius * self.radius_growth, max_possible)
+            # Annuli only widen, so each round's gather holds every
+            # earlier candidate.
+            ids = np.concatenate([
+                members[np.searchsorted(keys, rho - radius, side="left"):
+                        np.searchsorted(keys, rho + radius, side="right")]
+                for keys, members, rho in zip(self._keys, self._members,
+                                              ref_dist)
+            ])
+            diff = self._vectors[ids] - vector
+            dists = np.sqrt(np.einsum("nd,nd->n", diff, diff))
+            if len(ids) >= k:
+                top = np.lexsort((ids, dists))[:k]
+                if (dists[top[-1]] <= radius - eta * (radius + rho_max)
+                        or radius >= max_possible):
+                    self.last_candidates = len(ids)
+                    return ids[top], dists[top]
+            radius = min(radius * _RADIUS_GROWTH, max_possible)

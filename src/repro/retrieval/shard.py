@@ -121,10 +121,10 @@ class ShardRouter:
                 f"{x.shape[0]} vectors but {len(tenants)} tenants"
             )
         if self.mode == "tenant":
-            return np.fromiter(
-                (tenant_shard(t, self.n_shards) for t in tenants),
-                dtype=np.int64, count=len(tenants),
-            )
+            # Hash each distinct tenant once; records look their shard up.
+            shard_of = {t: tenant_shard(t, self.n_shards) for t in set(tenants)}
+            return np.fromiter((shard_of[t] for t in tenants),
+                               dtype=np.int64, count=len(tenants))
         if self._centers is None:
             raise NotFittedError("region-mode ShardRouter used before fit")
         return np.argmin(squared_distances(x, self._centers),
@@ -132,13 +132,13 @@ class ShardRouter:
 
 
 class _Shard:
-    """One shard's id-sorted slice of the database and its row norms."""
+    """One shard's slice of the index's matrix and its row norms."""
 
     def __init__(self, vectors: np.ndarray, tenant_codes: np.ndarray,
                  rows: np.ndarray, sq_norms: np.ndarray):
         self.vectors = vectors
         self.tenant_codes = tenant_codes
-        #: Row positions into the global id-sorted matrix.
+        #: Row positions into the index's (shard, id)-ordered matrix.
         self.rows = rows
         #: ``‖v‖²`` per row and their maximum; fixed once the shard is built.
         self.sq_norms = sq_norms
@@ -215,9 +215,9 @@ class ShardedSignatureIndex(NearestNeighborIndex):
     ) -> "ShardedSignatureIndex":
         """Index ``(ids, vectors, tenants)`` triples.
 
-        Rows are canonicalized to ascending id order (the oracle order)
-        before routing, so tie-breaking by global row position equals
-        tie-breaking by record id.
+        The vectors are gathered once, into (shard, id) order, and every
+        shard is a slice of that one matrix.  The merge breaks distance
+        ties by record id, the oracle's order over id-sorted rows.
         """
         x = check_array(vectors, name="vectors", ndim=2, allow_empty=False)
         id_arr = check_array(ids, name="ids", ndim=1).astype(np.uint64)
@@ -231,32 +231,29 @@ class ShardedSignatureIndex(NearestNeighborIndex):
             )
         if len(np.unique(id_arr)) != len(id_arr):
             raise RetrievalError("record ids must be unique")
-        order = np.argsort(id_arr, kind="stable")
-        id_arr = id_arr[order]
-        x = np.ascontiguousarray(x[order], dtype=np.float64)
-        tenant_list = [tenants[i] for i in order]
 
-        table = tuple(sorted(set(tenant_list)))
+        table = tuple(sorted(set(tenants)))
         code = {t: i for i, t in enumerate(table)}
-        codes = np.fromiter((code[t] for t in tenant_list),
-                            dtype=np.int64, count=len(tenant_list))
+        codes = np.fromiter((code[t] for t in tenants),
+                            dtype=np.int64, count=len(tenants))
 
         with span("store.index_build", n_records=x.shape[0],
                   n_shards=self.n_shards):
             self.router.fit(x)
-            assignment = self.router.assign(tenant_list, x)
+            assignment = self.router.assign(tenants, x)
+            order = np.lexsort((id_arr, assignment))
+            x, id_arr, codes = x[order], id_arr[order], codes[order]
             sq_norms = np.einsum("nd,nd->n", x, x)
             if not np.isfinite(sq_norms).all():
                 raise RetrievalError("squared vector norms overflow float64")
-            shards: Dict[int, _Shard] = {}
-            for shard_id in np.unique(assignment):
-                rows = np.flatnonzero(assignment == shard_id)
-                shards[int(shard_id)] = _Shard(
-                    vectors=x[rows],
-                    tenant_codes=codes[rows],
-                    rows=rows,
-                    sq_norms=sq_norms[rows],
-                )
+            shard_ids, starts = np.unique(assignment[order], return_index=True)
+            stops = np.append(starts[1:], len(order))
+            shards: Dict[int, _Shard] = {
+                int(sid): _Shard(vectors=x[lo:hi], tenant_codes=codes[lo:hi],
+                                 rows=np.arange(lo, hi),
+                                 sq_norms=sq_norms[lo:hi])
+                for sid, lo, hi in zip(shard_ids, starts, stops)
+            }
         self._shards = shards
         self._ids = id_arr
         self._vectors = x
@@ -370,7 +367,7 @@ class ShardedSignatureIndex(NearestNeighborIndex):
 
     def _fan_out(self, q: np.ndarray, k: int, shard_ids: List[int],
                  tenant_code: Optional[int]) -> List[List[np.ndarray]]:
-        """Per-query lists of candidate global row positions."""
+        """Per-query lists of candidate row positions in the index's matrix."""
         assert self._shards is not None
         # 8·γ_{d+2} with γ_n = nε/(1 − nε); see _scan_shard.
         n_eps = (q.shape[1] + 2) * np.finfo(np.float64).eps
@@ -438,9 +435,10 @@ class ShardedSignatureIndex(NearestNeighborIndex):
         for qi in range(q.shape[0]):
             rows = np.unique(np.concatenate(candidates[qi]))
             self.last_candidates += len(rows)
+            ids = self._ids[rows]
             diff = self._vectors[rows] - q[qi]
             dists = np.sqrt(np.einsum("nd,nd->n", diff, diff))
-            top = np.lexsort((rows, dists))[:k]
-            out_ids[qi] = self._ids[rows[top]]
+            top = np.lexsort((ids, dists))[:k]
+            out_ids[qi] = ids[top]
             out_dists[qi] = dists[top]
         return out_ids, out_dists

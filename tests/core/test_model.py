@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.model import MotionClassifier
 from repro.errors import ClusteringError, NotFittedError
-from repro.retrieval.idistance import IDistanceIndex
 
 
 @pytest.fixture
@@ -110,16 +109,6 @@ class TestConfigurations:
         )
         model.fit(toy_dataset, seed=0)
         assert model.classify(toy_dataset[0]) == toy_dataset[0].label
-
-    def test_idistance_backend_equals_linear(self, toy_dataset):
-        linear = MotionClassifier(n_clusters=4).fit(toy_dataset, seed=0)
-        indexed = MotionClassifier(
-            n_clusters=4, index_factory=lambda: IDistanceIndex(n_partitions=4)
-        ).fit(toy_dataset, seed=0)
-        for record in toy_dataset:
-            a = [n.key for n in linear.kneighbors(record, k=3)]
-            b = [n.key for n in indexed.kneighbors(record, k=3)]
-            assert a == b
 
     def test_scaler_mode_none_still_runs(self, toy_dataset):
         model = MotionClassifier(n_clusters=4, scaler_mode="none")

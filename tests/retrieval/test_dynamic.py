@@ -1,4 +1,4 @@
-"""Dynamic (B+-tree-backed) iDistance: exactness under churn."""
+"""iDistance online inserts and deletes: bit-identity with linear scan under churn."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NotFittedError, RetrievalError
-from repro.retrieval.dynamic import DynamicIDistanceIndex
+from repro.retrieval.idistance import IDistanceIndex
 from repro.retrieval.linear import LinearScanIndex
 
 
@@ -17,46 +17,63 @@ def clustered(rng, n_clusters=5, per=30, dim=6):
     ])
 
 
+def assert_matches_oracle(index, alive, q, k):
+    """ids and distances equal a fresh linear scan over the live rows.
+
+    ``alive`` maps id → vector; the oracle indexes the live vectors in
+    ascending id order, so its row positions map back through the
+    sorted ids.
+    """
+    ids = np.array(sorted(alive))
+    oracle = LinearScanIndex().fit(np.vstack([alive[i] for i in ids]))
+    rows, want = oracle.query(q, k)
+    got_ids, got = index.query(q, k)
+    np.testing.assert_array_equal(got_ids, ids[rows])
+    np.testing.assert_array_equal(got, want)
+
+
 class TestStaticBehaviour:
     def test_matches_linear_scan(self, rng):
         vectors = clustered(rng)
-        dyn = DynamicIDistanceIndex(n_partitions=5).fit(vectors)
+        dyn = IDistanceIndex(n_partitions=5).fit(vectors)
         lin = LinearScanIndex().fit(vectors)
         for _ in range(25):
             q = rng.normal(size=6) * 3
             di, dd = dyn.query(q, k=5)
             li, ld = lin.query(q, k=5)
             np.testing.assert_array_equal(di, li)
-            np.testing.assert_allclose(dd, ld)
+            np.testing.assert_array_equal(dd, ld)
 
     def test_ids_are_row_indices_after_fit(self, rng):
         vectors = clustered(rng)
-        dyn = DynamicIDistanceIndex(n_partitions=4).fit(vectors)
+        dyn = IDistanceIndex(n_partitions=4).fit(vectors)
         ids, dists = dyn.query(vectors[13], k=1)
         assert ids[0] == 13
-        assert dists[0] == pytest.approx(0.0)
+        assert dists[0] == 0.0
 
     def test_unfitted(self, rng):
         with pytest.raises(NotFittedError):
-            DynamicIDistanceIndex().query(rng.normal(size=3), k=1)
+            IDistanceIndex().query(rng.normal(size=3), k=1)
         with pytest.raises(NotFittedError):
-            DynamicIDistanceIndex().insert(rng.normal(size=3))
+            IDistanceIndex().insert(rng.normal(size=3))
+        with pytest.raises(NotFittedError):
+            IDistanceIndex().remove(0)
 
 
 class TestInsertion:
     def test_inserted_vector_found(self, rng):
         vectors = clustered(rng)
-        dyn = DynamicIDistanceIndex(n_partitions=5).fit(vectors)
+        dyn = IDistanceIndex(n_partitions=5).fit(vectors)
         new = vectors[3] + 0.01
         vid = dyn.insert(new)
         ids, dists = dyn.query(new, k=1)
-        assert ids[0] == vid
-        assert dists[0] == pytest.approx(0.0)
+        assert ids[0] == vid == len(vectors)
+        assert dists[0] == 0.0
         assert dyn.n_indexed == len(vectors) + 1
 
     def test_insert_matches_linear_after_growth(self, rng):
         base = clustered(rng)
-        dyn = DynamicIDistanceIndex(n_partitions=5).fit(base)
+        dyn = IDistanceIndex(n_partitions=5).fit(base)
         extra = clustered(np.random.default_rng(7), n_clusters=5, per=5)
         for row in extra:
             dyn.insert(row)
@@ -64,18 +81,26 @@ class TestInsertion:
         lin = LinearScanIndex().fit(all_vectors)
         for _ in range(15):
             q = rng.normal(size=6) * 3
-            di, _ = dyn.query(q, k=4)
-            li, _ = lin.query(q, k=4)
+            di, dd = dyn.query(q, k=4)
+            li, ld = lin.query(q, k=4)
             np.testing.assert_array_equal(di, li)
+            np.testing.assert_array_equal(dd, ld)
 
-    def test_headroom_violation_rejected(self, rng):
+    def test_far_insert_accepted_and_exact(self, rng):
+        """Inserts far outside the fitted extent join the nearest partition."""
         vectors = rng.normal(size=(30, 4))
-        dyn = DynamicIDistanceIndex(n_partitions=3, headroom=1.0).fit(vectors)
-        with pytest.raises(RetrievalError, match="rebuild"):
-            dyn.insert(np.full(4, 1e6))
+        dyn = IDistanceIndex(n_partitions=3).fit(vectors)
+        alive = dict(enumerate(vectors))
+        for far in (np.full(4, 1e6), 50.0 * rng.normal(size=4),
+                    np.full(4, 1e6) + 1e-9, -50.0 * rng.normal(size=4)):
+            alive[dyn.insert(far)] = far
+        assert dyn.n_indexed == len(alive)
+        for q in (np.full(4, 1e6), rng.normal(size=4), 30.0 * rng.normal(size=4)):
+            for k in (1, 3, len(alive)):
+                assert_matches_oracle(dyn, alive, q, k)
 
     def test_dimension_mismatch(self, rng):
-        dyn = DynamicIDistanceIndex(n_partitions=3).fit(rng.normal(size=(20, 4)))
+        dyn = IDistanceIndex(n_partitions=3).fit(rng.normal(size=(20, 4)))
         with pytest.raises(RetrievalError, match="dims"):
             dyn.insert(rng.normal(size=5))
 
@@ -83,18 +108,19 @@ class TestInsertion:
 class TestDeletion:
     def test_removed_vector_not_returned(self, rng):
         vectors = clustered(rng)
-        dyn = DynamicIDistanceIndex(n_partitions=5).fit(vectors)
+        dyn = IDistanceIndex(n_partitions=5).fit(vectors)
         assert dyn.remove(10)
         ids, _ = dyn.query(vectors[10], k=3)
         assert 10 not in ids
         assert dyn.n_indexed == len(vectors) - 1
 
     def test_remove_missing_id(self, rng):
-        dyn = DynamicIDistanceIndex(n_partitions=3).fit(rng.normal(size=(10, 3)))
+        dyn = IDistanceIndex(n_partitions=3).fit(rng.normal(size=(10, 3)))
         assert not dyn.remove(999)
+        assert not dyn.remove(-1)
 
     def test_remove_twice(self, rng):
-        dyn = DynamicIDistanceIndex(n_partitions=3).fit(rng.normal(size=(10, 3)))
+        dyn = IDistanceIndex(n_partitions=3).fit(rng.normal(size=(10, 3)))
         assert dyn.remove(4)
         assert not dyn.remove(4)
 
@@ -105,7 +131,7 @@ class TestChurn:
     def test_exactness_under_mixed_workload(self, seed):
         rng = np.random.default_rng(seed)
         base = clustered(rng, n_clusters=4, per=15, dim=5)
-        dyn = DynamicIDistanceIndex(n_partitions=4, headroom=6.0).fit(base)
+        dyn = IDistanceIndex(n_partitions=4).fit(base)
         alive = {i: base[i] for i in range(len(base))}
         for _ in range(60):
             if len(alive) > 8 and rng.random() < 0.45:
@@ -118,15 +144,5 @@ class TestChurn:
                 ]
                 vid = dyn.insert(vec)
                 alive[vid] = vec
-        # Compare against brute force over the survivors.
-        ids = list(alive)
-        matrix = np.vstack([alive[i] for i in ids])
-        q = rng.normal(size=5) * 2
-        truth_order = np.argsort(np.linalg.norm(matrix - q, axis=1))[:5]
-        truth_ids = {ids[i] for i in truth_order}
-        got_ids, got_d = dyn.query(q, k=5)
-        got_sorted = np.sort(got_d)
-        np.testing.assert_allclose(got_d, got_sorted)
-        truth_d = np.sort(np.linalg.norm(matrix - q, axis=1))[:5]
-        np.testing.assert_allclose(np.sort(got_d), truth_d, atol=1e-9)
-        assert set(got_ids) <= set(ids)
+        assert dyn.n_indexed == len(alive)
+        assert_matches_oracle(dyn, alive, rng.normal(size=5) * 2, 5)

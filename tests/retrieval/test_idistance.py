@@ -1,11 +1,11 @@
-"""The iDistance index: exactness against linear scan, and pruning."""
+"""The iDistance index: bit-identity with linear scan, and pruning."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NotFittedError, RetrievalError
+from repro.errors import NotFittedError, RetrievalError, ValidationError
 from repro.retrieval.idistance import IDistanceIndex
 from repro.retrieval.linear import LinearScanIndex
 
@@ -27,7 +27,7 @@ class TestExactness:
             li, ld = linear.query(q, k=5)
             ii, idd = idist.query(q, k=5)
             np.testing.assert_array_equal(li, ii)
-            np.testing.assert_allclose(ld, idd)
+            np.testing.assert_array_equal(ld, idd)
 
     def test_identical_on_uniform_data(self, rng):
         vectors = rng.uniform(-1, 1, size=(200, 5))
@@ -35,27 +35,46 @@ class TestExactness:
         idist = IDistanceIndex(n_partitions=8).fit(vectors)
         for _ in range(25):
             q = rng.uniform(-1.5, 1.5, size=5)
-            li, _ = linear.query(q, k=7)
-            ii, _ = idist.query(q, k=7)
+            li, ld = linear.query(q, k=7)
+            ii, idd = idist.query(q, k=7)
             np.testing.assert_array_equal(li, ii)
+            np.testing.assert_array_equal(ld, idd)
 
     def test_query_far_outside_data(self, rng):
         vectors, _ = clustered(rng)
         linear = LinearScanIndex().fit(vectors)
         idist = IDistanceIndex(n_partitions=6).fit(vectors)
         q = np.full(8, 100.0)
-        li, _ = linear.query(q, k=3)
-        ii, _ = idist.query(q, k=3)
+        li, ld = linear.query(q, k=3)
+        ii, idd = idist.query(q, k=3)
         np.testing.assert_array_equal(li, ii)
+        np.testing.assert_array_equal(ld, idd)
 
     def test_k_equals_n(self, rng):
         vectors = rng.normal(size=(30, 4))
         linear = LinearScanIndex().fit(vectors)
         idist = IDistanceIndex(n_partitions=4).fit(vectors)
         q = rng.normal(size=4)
-        li, _ = linear.query(q, k=30)
-        ii, _ = idist.query(q, k=30)
+        li, ld = linear.query(q, k=30)
+        ii, idd = idist.query(q, k=30)
         np.testing.assert_array_equal(li, ii)
+        np.testing.assert_array_equal(ld, idd)
+
+    def test_tie_on_the_stop_radius(self):
+        """Rows 0 and 1 tie at exactly the first search radius.
+
+        Row 0's key rounds just outside the first annulus while row 1 is
+        inside it; without the stop rule's rounding slack the search stops
+        there and returns row 1 instead of the lower-id row 0.
+        """
+        vectors = np.array([[3.1006732974976936], [0.678276373927059],
+                            [7.888853629795464], [-12.260045056730824]])
+        q = np.array([1.8894748357123763])
+        ii, idd = IDistanceIndex(n_partitions=1).fit(vectors).query(q, k=1)
+        li, ld = LinearScanIndex().fit(vectors).query(q, k=1)
+        assert list(li) == [0]
+        np.testing.assert_array_equal(ii, li)
+        np.testing.assert_array_equal(idd, ld)
 
     @given(seed=st.integers(0, 200), k=st.integers(1, 10))
     @settings(max_examples=40, deadline=None)
@@ -68,7 +87,7 @@ class TestExactness:
         li, ld = linear.query(q, k=k)
         ii, idd = idist.query(q, k=k)
         np.testing.assert_array_equal(li, ii)
-        np.testing.assert_allclose(ld, idd)
+        np.testing.assert_array_equal(ld, idd)
 
 
 class TestPruning:
@@ -114,17 +133,15 @@ class TestEdgeCases:
         idist = IDistanceIndex(n_partitions=2).fit(vectors)
         ii, dd = idist.query(np.zeros(2), k=10)
         assert set(ii) == set(range(10))
-        np.testing.assert_allclose(dd, 0.0)
+        np.testing.assert_array_equal(dd, 0.0)
 
     def test_unfitted(self, rng):
         with pytest.raises(NotFittedError):
             IDistanceIndex().query(rng.normal(size=3), k=1)
 
     def test_invalid_parameters(self):
-        with pytest.raises(RetrievalError):
-            IDistanceIndex(initial_radius_fraction=0.0)
-        with pytest.raises(RetrievalError):
-            IDistanceIndex(radius_growth=1.0)
+        with pytest.raises(ValidationError):
+            IDistanceIndex(n_partitions=0)
 
     def test_k_exceeding_n_rejected(self, rng):
         idist = IDistanceIndex().fit(rng.normal(size=(10, 2)))

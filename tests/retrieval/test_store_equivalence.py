@@ -17,7 +17,9 @@ from repro.errors import NotFittedError, RetrievalError
 from repro.retrieval import (
     LinearScanIndex,
     ShardedSignatureIndex,
+    ShardRouter,
     SignatureStore,
+    tenant_shard,
 )
 
 SHARD_COUNTS = [1, 4, 16]
@@ -213,6 +215,50 @@ def test_fit_arrays_with_sparse_ids_matches_oracle(rng):
     oracle_ids, oracle_dists = oracle_answers(vectors, queries, 6)
     assert np.array_equal(got_ids, ids[oracle_ids])
     assert np.array_equal(got_dists, oracle_dists)
+
+
+def test_fit_arrays_with_shuffled_ids_matches_oracle(rng):
+    """Ties between duplicates break by record id, not by input row."""
+    vectors = rng.uniform(size=(90, 5))
+    vectors[30:40] = vectors[0]
+    ids = rng.permutation(90).astype(np.uint64)
+    tenants = [f"t-{i % 3}" for i in range(90)]
+    by_id = np.argsort(ids)
+    queries = np.vstack([vectors[:1], rng.uniform(size=(5, 5))])
+    for mode in ("tenant", "region"):
+        index = ShardedSignatureIndex(n_shards=4, mode=mode, seed=0)
+        index.fit_arrays(ids, vectors, tenants)
+        for k in (1, 11, 90):
+            got_ids, got_dists = index.query_batch(queries, k)
+            oracle_ids, oracle_dists = oracle_answers(vectors[by_id],
+                                                      queries, k)
+            assert np.array_equal(got_ids, ids[by_id][oracle_ids])
+            assert np.array_equal(got_dists, oracle_dists)
+
+
+@pytest.mark.parametrize("mode", ["tenant", "region"])
+def test_shards_are_slices_of_one_matrix(store_and_queries, mode):
+    """The index holds the population once; shards view into it."""
+    store, vectors, _, _ = store_and_queries
+    index = ShardedSignatureIndex(n_shards=16, mode=mode, seed=0)
+    index.fit_store(store)
+    assert sum(index.shard_sizes.values()) == len(vectors)
+    for shard in index._shards.values():
+        assert np.shares_memory(shard.vectors, index._vectors)
+
+
+def test_router_hashes_each_tenant_once(monkeypatch):
+    tenants = [f"tenant-{i % 7}" for i in range(500)]
+    calls = []
+
+    def counting(tenant, n_shards):
+        calls.append(tenant)
+        return tenant_shard(tenant, n_shards)
+
+    monkeypatch.setattr("repro.retrieval.shard.tenant_shard", counting)
+    assigned = ShardRouter(n_shards=5).assign(tenants, np.zeros((500, 2)))
+    assert sorted(calls) == sorted(set(tenants))
+    assert list(assigned) == [tenant_shard(t, 5) for t in tenants]
 
 
 def test_tenant_mode_probes_one_shard(store_and_queries):
