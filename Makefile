@@ -5,7 +5,7 @@
 PY ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-strict lint-changed selftest health bench-lint sweep-guard store-guard perfbench-tests perfbench-check clean-lint-cache
+.PHONY: test lint lint-strict lint-changed selftest health bench-lint sweep-guard featurize-guard store-guard perfbench-tests perfbench-check clean-lint-cache
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/ -q
@@ -30,6 +30,11 @@ bench-lint:
 
 sweep-guard:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest benchmarks/test_sweep_cache_current.py -q
+
+featurize-guard:
+	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/features \
+		tests/properties/test_eq3_band_properties.py \
+		benchmarks/test_batched_featurize.py -q
 
 store-guard:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/retrieval tests/data/test_population.py \

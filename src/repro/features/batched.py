@@ -1,14 +1,15 @@
-"""Batched hot-path featurization kernels (stacked SVD + vectorized EMG).
+"""Batched hot-path featurization kernels (stacked Eq. 3 + vectorized EMG).
 
-The scalar extractors in :mod:`repro.features.svd` and
-:mod:`repro.features.iav` loop Python-level over joints and windows,
-calling ``numpy.linalg.svd`` one ``w x 3`` matrix at a time — the
-whole-pipeline profile shows that loop dominating cold featurization.
-This module computes the same features over **stacks of windows**:
+The whole-pipeline profile shows a Python loop over joints and windows
+dominating cold featurization.  This module computes the features over
+**stacks of windows**:
 
 * :func:`stacked_weighted_svd` — the paper's Eq. 3 feature for a
-  ``(n_windows, w, 3k)`` batch, via one stacked ``numpy.linalg.svd`` call
-  over ``(n_windows * k, w, 3)``;
+  ``(n_windows, w, 3k)`` batch, from the eigenvectors of every joint
+  window's ``3 x 3`` Gram matrix ``XᵀX`` in **one** stacked
+  ``numpy.linalg.eigh`` call.  It is the library's only Eq. 3 kernel:
+  :func:`repro.features.svd.weighted_svd_feature` and
+  ``WeightedSVDExtractor.extract_joint`` call it with a batch of one;
 * :func:`stabilize_signs_batched` — the dominant-component-positive sign
   rule of :func:`repro.features.svd.stabilize_signs` applied along the
   batch axis (``numpy.argmax`` keeps the scalar rule's deterministic
@@ -21,12 +22,19 @@ This module computes the same features over **stacks of windows**:
 Numerical contract
 ------------------
 Every kernel computes in float64, whatever the input dtype, and is
-**bit-identical** to its scalar counterpart: the stacked SVD gufunc runs
-the same LAPACK routine per matrix, the weighted combination uses the same
-``matmul`` contraction, and the axis reductions share numpy's
-pairwise-summation tree for a fixed window length.
-``tests/features/test_batched_equivalence.py`` is the differential harness
-pinning this.
+**bit-identical** to its per-window counterpart.  Every step of
+:func:`stacked_weighted_svd` — the Gram ``matmul``, the ``eigh`` gufunc,
+the projection and its column-norm reduction, the weighted combination —
+computes each joint matrix on its own, with the same routine whatever the
+stack around it, so a batch of one gives the same bits as a row of a large
+batch.  The EMG axis reductions share numpy's pairwise-summation tree for
+a fixed window length.  ``tests/features/test_batched_equivalence.py`` is
+the differential harness pinning this.
+
+Eq. 3 is not bit-identical to a LAPACK SVD of the window; it stays inside
+the band derived in :func:`stacked_weighted_svd`, which
+``tests/properties/test_eq3_band_properties.py`` checks against the SVD
+oracle in ``tests/features/svd_oracle.py``.
 """
 
 from __future__ import annotations
@@ -45,8 +53,8 @@ __all__ = [
     "stacked_weighted_svd",
 ]
 
-#: Degenerate-window threshold shared with the scalar Eq. 3 path: a window
-#: whose singular values sum to at most this is treated as zero motion.
+#: Zero-motion threshold of Eq. 3: a joint window whose singular values sum
+#: to at most this is treated as zero motion (feature = zero vector).
 ZERO_MOTION_TOTAL = 1e-12
 
 
@@ -71,10 +79,56 @@ def stacked_weighted_svd(windows: np.ndarray) -> np.ndarray:
     """Eq. 3 features for a ``(batch, w, 3k)`` stack of multi-joint windows.
 
     Returns a ``(batch, 3k)`` array laid out joint-major, matching
-    ``MocapFeatureExtractor.extract`` applied per window.  All ``batch * k``
-    joint matrices go through **one** stacked ``numpy.linalg.svd`` call;
-    sign stabilization, singular-value normalization and the all-zero
-    degenerate case (zero vector) are vectorized along the batch axis.
+    ``MocapFeatureExtractor.extract`` applied per window.
+
+    Eq. 3 needs the right singular vectors ``vᵢ`` and singular values
+    ``σᵢ`` of each ``w x 3`` joint window ``X``, and these are the
+    eigenvectors of its Gram matrix ``XᵀX``.  All ``batch * k`` Gram
+    matrices go through **one** stacked ``numpy.linalg.eigh`` call, and
+    ``σᵢ = ‖X vᵢ‖``.  The shortcut ``σᵢ = √λᵢ`` is not used: ``λᵢ`` carries
+    an absolute error of about ``ε·σ₁²`` (``ε`` the float64 machine
+    epsilon), so on a rank-deficient window — a static joint, straight-line
+    motion — it turns an exact zero into about ``√ε·σ₁``, a relative error
+    of ``1.5e-8``, where ``‖X vᵢ‖`` stays at the rounding level.  A window
+    with fewer than 3 rows has ``3 − w`` null directions whose
+    ``σᵢ = ‖X vᵢ‖`` is zero up to rounding.  Sign stabilization,
+    singular-value normalization and the zero-motion case (``Σσ`` at most
+    :data:`ZERO_MOTION_TOTAL` gives the zero vector) are vectorized along
+    the batch axis.
+
+    Tolerance band against an SVD of the window
+    -------------------------------------------
+    Forming ``XᵀX`` and LAPACK's symmetric eigensolver each perturb the
+    Gram matrix by about ``ε·σ₁²``, so each computed eigenvector pair
+    ``(vᵢ, vⱼ)`` is rotated in its plane by about
+    ``ε·σ₁² / |σᵢ² − σⱼ²|`` (squaring ``X`` squares the sensitivity to a
+    small gap).  The SVD it is compared with is itself exact only up to a
+    rotation of about ``ε·σ₁ / |σᵢ − σⱼ|``.  A rotation by ``θ`` moves
+    ``σᵢvᵢ + σⱼvⱼ`` by at most ``θ·(σᵢ + σⱼ)``, so it moves the feature by
+    ``θ·(σᵢ + σⱼ)/Σσ``; and whatever the rotation or sign flip, a pair of
+    unit vectors moves the feature by at most ``2·(σᵢ + σⱼ)/Σσ``.  Summing
+    over the three pairs, with ``σ`` from the SVD::
+
+        |f − f_svd|∞ ≤ 16·ε·(1 + K),
+        K = Σ_{i<j} (σᵢ + σⱼ)/Σσ
+                    · min(σ₁²/|σᵢ² − σⱼ²| + σ₁/|σᵢ − σⱼ|, 1/(8ε))
+
+    The ``1`` covers the rounding of the normalization and the weighted
+    sum, and the factor 16 the constants the first-order argument drops:
+    over 240k random windows the largest ``|f − f_svd| / (ε·(1 + K))``
+    was 7.2.  When two singular values nearly coincide, ``K`` is large
+    because Eq. 3 itself is ill-conditioned there: ``σᵢvᵢ + σⱼvⱼ`` depends
+    on the basis chosen for a shared singular subspace, and at an exact
+    tie the SVD's basis is as arbitrary as this one.  The band excludes a
+    singular vector whose two largest components tie in magnitude, where
+    the sign rule itself is discontinuous.
+
+    Raises
+    ------
+    FeatureError
+        If the joint columns are not a multiple of 3, or a joint window's
+        squared coordinates overflow float64 (coordinates beyond about
+        ``1e154``), naming the first such window and joint.
     """
     windows = check_array(windows, name="windows", ndim=3, allow_empty=False)
     batch, w, cols = windows.shape
@@ -87,14 +141,28 @@ def stacked_weighted_svd(windows: np.ndarray) -> np.ndarray:
     joints = np.ascontiguousarray(
         windows.reshape(batch, w, k, 3).transpose(0, 2, 1, 3)
     ).reshape(batch * k, w, 3)
-    _, singular, vt = np.linalg.svd(joints, full_matrices=False)
+    # Overflow is reported below as a FeatureError, not as a warning.
+    with np.errstate(over="ignore"):
+        gram = np.matmul(joints.transpose(0, 2, 1), joints)
+    # A finite trace bounds every entry of XᵀX and every σᵢ², so eigh and
+    # the norms below see finite numbers only.
+    finite = np.isfinite(np.einsum("bii->b", gram))
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise FeatureError(
+            f"window {first // k}, joint {first % k}: the Gram matrix XᵀX "
+            "overflows float64 (coordinates too large for Eq. 3)"
+        )
+    # eigh orders eigenvalues ascending; reversed, column i of vectors is
+    # the right singular vector of the i-th largest singular value.
+    vectors = np.linalg.eigh(gram)[1][..., ::-1]
+    projected = np.matmul(joints, vectors)
+    singular = np.sqrt(np.einsum("bwi,bwi->bi", projected, projected))
     totals = singular.sum(axis=-1)
     degenerate = totals <= ZERO_MOTION_TOTAL
     safe_totals = np.where(degenerate, 1.0, totals)
     weights = singular / safe_totals[..., None]
-    vt = stabilize_signs_batched(vt)
-    # (B, 1, m) @ (B, m, 3) -> (B, 1, 3): the same matmul contraction the
-    # scalar path's ``weights @ vt`` lowers to, so float64 bits agree.
+    vt = stabilize_signs_batched(vectors.transpose(0, 2, 1))
     features = np.matmul(weights[:, None, :], vt)[:, 0, :]
     features[degenerate] = 0.0
     return features.reshape(batch, 3 * k)

@@ -13,6 +13,13 @@ yielding a 3-vector per joint per window that "represents the contribution
 of the corresponding joint to the motion data in 3D space ... and also
 captures the geometric similarity of motion matrices".
 
+Only ``V`` and ``Σ`` enter Eq. 3, and they are the eigenvectors of the
+``3 × 3`` Gram matrix ``AᵀA`` and the norms ``σⱼ = ‖A vⱼ‖``.  That is how
+:func:`repro.features.batched.stacked_weighted_svd`, the library's one Eq. 3
+kernel, computes them; every function here calls it.  It is not
+bit-identical to a LAPACK SVD of the window; that function's docstring
+derives the tolerance band it keeps to one.
+
 Sign convention
 ---------------
 Singular vectors are only defined up to sign; a naive implementation would
@@ -44,8 +51,8 @@ def stabilize_signs(vt: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     vt:
-        The ``Vᵀ`` factor from ``numpy.linalg.svd`` (rows are right singular
-        vectors).  The dtype is preserved (float32 factors stay float32).
+        A ``Vᵀ`` factor (rows are right singular vectors).  The dtype is
+        preserved (float32 factors stay float32).
     """
     vt = check_array(vt, name="vt", ndim=2, dtype=None).copy()
     for i in range(vt.shape[0]):
@@ -59,25 +66,20 @@ def stabilize_signs(vt: np.ndarray) -> np.ndarray:
 def weighted_svd_feature(window: np.ndarray) -> np.ndarray:
     """The paper's Eq. 3 feature for one ``(w, 3)`` joint window.
 
-    Returns a float64 3-vector, whatever the input dtype.  Degenerate
-    cases:
+    :func:`~repro.features.batched.stacked_weighted_svd` with a batch of
+    one, so it is bit-identical to the batched path.  Returns a float64
+    3-vector, whatever the input dtype.  Degenerate cases:
 
     * a window of all (numerically) zero positions returns the zero vector
       (a joint that does not move relative to the pelvis contributes
       nothing);
-    * windows with fewer than 3 rows use the available ``min(w, 3)``
-      singular pairs.
+    * a window with fewer than 3 rows has ``3 − w`` null directions, whose
+      singular values are zero up to rounding.
     """
     window = check_array(window, name="window", ndim=2, allow_empty=False)
     if window.shape[1] != 3:
         raise FeatureError(f"joint window must have 3 columns, got {window.shape[1]}")
-    _, singular, vt = np.linalg.svd(window, full_matrices=False)
-    total = singular.sum()
-    if total <= 1e-12:
-        return np.zeros(3)
-    weights = singular / total
-    vt = stabilize_signs(vt)
-    return weights @ vt
+    return stacked_weighted_svd(window[None])[0]
 
 
 class WeightedSVDExtractor(MocapFeatureExtractor):
@@ -100,8 +102,8 @@ class WeightedSVDExtractor(MocapFeatureExtractor):
     def extract_batch(self, windows: np.ndarray) -> np.ndarray:
         """Stacked Eq. 3 features for a ``(batch, w, 3k)`` window stack.
 
-        One stacked ``numpy.linalg.svd`` call over all ``batch * k`` joint
-        matrices; bit-identical to looping :meth:`extract` in float64 (the
+        One stacked ``numpy.linalg.eigh`` call over all ``batch * k`` joint
+        Gram matrices; bit-identical to looping :meth:`extract` (the
         differential harness pins this).
         """
         with span("features.svd"):

@@ -51,7 +51,7 @@ __all__ = [
 #: Version of the featurization code the cache contents assume.  Bump on any
 #: change that can alter feature values (windowing arithmetic, IAV/SVD
 #: kernels, sign stabilization, combined-vector layout ...).
-FEATURE_CACHE_VERSION = 1
+FEATURE_CACHE_VERSION = 2
 
 
 def hash_stream(hasher, array: np.ndarray) -> None:

@@ -117,6 +117,16 @@ class TestWeightedSVDExtractor:
         with pytest.raises(FeatureError):
             WeightedSVDExtractor().extract(rng.normal(size=(10, 5)))
 
+    def test_overflowing_gram_matrix_raises_feature_error(self, rng):
+        """Finite coordinates near 1e160 overflow XᵀX: a typed error naming
+        the window and joint, not numpy's LinAlgError."""
+        windows = rng.normal(size=(3, 12, 6)) * 40
+        windows[1, :, 3:] *= 1e160
+        with pytest.raises(FeatureError, match="window 1, joint 1"):
+            WeightedSVDExtractor().extract_batch(windows)
+        with pytest.raises(FeatureError, match="overflows float64"):
+            weighted_svd_feature(windows[1, :, 3:])
+
     def test_feature_names(self):
         names = WeightedSVDExtractor().feature_names(["hand_r"])
         assert names == ["svd:hand_r:x", "svd:hand_r:y", "svd:hand_r:z"]

@@ -7,6 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.parallel.cache as cache_module
 from repro.errors import CacheError
 from repro.features.combine import WindowFeaturizer
 from repro.parallel.cache import (
@@ -76,7 +77,24 @@ class TestRecordCacheKey:
     def test_version_constant_pins_the_format(self):
         # Bumping this constant must invalidate every existing entry; the
         # pin makes version changes an explicit, reviewed event.
-        assert FEATURE_CACHE_VERSION == 1
+        assert FEATURE_CACHE_VERSION == 2
+
+    def test_entry_stored_under_the_previous_version_misses(
+        self, tmp_path, monkeypatch, make_record
+    ):
+        # Version 1 entries hold SVD-kernel features; a warm version 1
+        # cache must not mix them into a version 2 signature set.
+        cache = FeatureCache(tmp_path / "cache")
+        featurizer = WindowFeaturizer(window_ms=100.0)
+        record = make_record()
+        fp = featurizer.cache_fingerprint()
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "FEATURE_CACHE_VERSION", 1)
+            old_path = cache.store(record_cache_key(record, fp),
+                                   featurizer.features(record))
+        assert old_path.exists()
+        assert cache.load(record_cache_key(record, fp)) is None
+        assert cache.stats.misses == 1
 
 
 class TestFeatureCache:
