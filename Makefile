@@ -5,7 +5,7 @@
 PY ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-strict lint-changed selftest health bench-lint sweep-guard featurize-guard store-guard perfbench-tests perfbench-check clean-lint-cache
+.PHONY: test lint lint-strict lint-changed selftest health bench-lint sweep-guard featurize-guard store-guard perfbench-tests perfbench-check perfbench-trace clean-lint-cache
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/ -q
@@ -47,6 +47,9 @@ perfbench-tests:
 
 perfbench-check:
 	PYTHONPATH=$(PYTHONPATH) $(PY) perfbench/run.py --workload all --seed 0 --seconds 1
+
+perfbench-trace:
+	PYTHONPATH=$(PYTHONPATH) $(PY) perfbench/run.py --workload all --seed 0 --seconds 1 --trace 1
 
 clean-lint-cache:
 	rm -f .lint-cache.json

@@ -75,8 +75,9 @@ def _obs_session():
     """Collect per-stage telemetry for the whole benchmark session.
 
     ``max_spans=0`` keeps exact per-stage aggregates and counters without
-    retaining individual span records, so memory stays flat over long
-    sweeps.  The payload lands in ``benchmarks/_cache/obs_metrics.json``,
+    retaining individual span records; the aggregates still keep each
+    span's duration, 8 B per span.  The payload lands in
+    ``benchmarks/_cache/obs_metrics.json``,
     stamped with git sha + config fingerprint, and one ledger record is
     appended to ``benchmarks/_cache/ledger.jsonl``.
     """

@@ -18,8 +18,6 @@ from repro.motions.base import (
     register_motion_class,
 )
 from repro.motions.variation import ParticipantProfile, TrialVariation, VariationModel
-from repro.motions.composer import compose_plans
-from repro.motions.mirror import mirror_name, mirror_plan
 from repro.motions.arm import ARM_MOTIONS
 from repro.motions.leg import LEG_MOTIONS
 
@@ -33,9 +31,6 @@ __all__ = [
     "ParticipantProfile",
     "TrialVariation",
     "VariationModel",
-    "compose_plans",
-    "mirror_name",
-    "mirror_plan",
     "ARM_MOTIONS",
     "LEG_MOTIONS",
 ]

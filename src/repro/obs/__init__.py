@@ -74,7 +74,6 @@ from repro.obs.export import (
     SCHEMA_VERSION,
     collect_payload,
     format_stage_table,
-    merge_payloads,
     to_json,
     write_json,
 )
@@ -92,7 +91,6 @@ from repro.obs.openmetrics import (
     parse_openmetrics,
     render_openmetrics,
 )
-from repro.obs.quantiles import DEFAULT_QUANTILES, P2Quantile, QuantileDigest
 from repro.obs.trace import (
     NOOP_SPAN,
     NoOpSpan,
@@ -141,7 +139,6 @@ __all__ = [
     "write_events_jsonl",
     "SCHEMA_VERSION",
     "collect_payload",
-    "merge_payloads",
     "format_stage_table",
     "to_json",
     "write_json",
@@ -159,9 +156,6 @@ __all__ = [
     "METRIC_PREFIXES",
     "SPAN_NAMES",
     "SPAN_PREFIXES",
-    "DEFAULT_QUANTILES",
-    "P2Quantile",
-    "QuantileDigest",
     "NOOP_SPAN",
     "NoOpSpan",
     "Span",

@@ -8,7 +8,7 @@ reproducible.  The same payload shape is what ``BENCH_*.json`` benchmark
 artifacts embed under their ``"telemetry"`` key, and what
 ``benchmarks/conftest.py`` dumps to ``benchmarks/_cache/``.
 
-v2 extends v1 with streaming quantiles (``p50/p95/p99`` per stage and per
+v2 extends v1 with exact quantiles (``p50/p95/p99`` per stage and per
 histogram), the provenance event log (``"events"`` / ``"events_dropped"``)
 and optional resource samples (``"resources"``); every v1 key is preserved
 unchanged, so v1 consumers read v2 payloads as-is.
@@ -25,7 +25,6 @@ from repro.obs.config import ObsState, current_state
 __all__ = [
     "SCHEMA_VERSION",
     "collect_payload",
-    "merge_payloads",
     "to_json",
     "write_json",
     "format_stage_table",
@@ -55,10 +54,10 @@ def collect_payload(state: Optional[ObsState] = None,
     """
     state = state if state is not None else current_state()
     metrics = state.registry.to_dict()
-    # The "p2" entries are internal mergeable quantile state
-    # (MetricsRegistry.merge); the export keeps the summary view only.
+    # The "samples" entries exist for MetricsRegistry.merge; the export
+    # keeps the summary view only.
     histograms = {
-        name: {k: v for k, v in summary.items() if k != "p2"}
+        name: {k: v for k, v in summary.items() if k != "samples"}
         for name, summary in metrics["histograms"].items()
     }
     payload: Dict[str, Any] = {
@@ -77,99 +76,6 @@ def collect_payload(state: Optional[ObsState] = None,
     }
     payload["meta"] = dict(meta) if meta else {}
     return payload
-
-
-def _merge_stage(base: Mapping[str, Any],
-                 incoming: Mapping[str, Any]) -> Dict[str, Any]:
-    """Combine two exported stage rows (summary-only quantile fold)."""
-    from repro.obs.quantiles import QuantileDigest
-
-    calls = int(base["calls"]) + int(incoming["calls"])
-    total = float(base["total_s"]) + float(incoming["total_s"])
-    digest = QuantileDigest()
-    for stat in (base, incoming):
-        if int(stat["calls"]) <= 0:
-            continue
-        for key in ("min_s", "p50_s", "p95_s", "p99_s", "max_s"):
-            if key in stat:
-                digest.observe(float(stat[key]))
-    quantiles = digest.estimates()
-    return {
-        "calls": calls,
-        "total_s": total,
-        "mean_s": total / calls if calls else 0.0,
-        "min_s": min(float(base["min_s"]), float(incoming["min_s"])),
-        "max_s": max(float(base["max_s"]), float(incoming["max_s"])),
-        "p50_s": quantiles["p50"],
-        "p95_s": quantiles["p95"],
-        "p99_s": quantiles["p99"],
-        "errors": int(base.get("errors", 0)) + int(incoming.get("errors", 0)),
-    }
-
-
-def merge_payloads(base: Mapping[str, Any],
-                   incoming: Mapping[str, Any]) -> Dict[str, Any]:
-    """Combine two ``repro.obs/v2`` payloads into one.
-
-    Counters and drop counts sum; gauges take the incoming value
-    (last-write-wins, matching :meth:`MetricsRegistry.merge`); histogram
-    summaries fold through a fresh registry (summary-only quantile merge,
-    since exported payloads carry no digest state); series and spans
-    concatenate.  Events are concatenated, stably re-ordered by timestamp
-    (ties keep base-before-incoming emission order) and re-sequenced
-    ``1..N`` so the merged log reads like one session.  ``meta`` maps merge
-    with incoming keys winning.  Neither input is mutated.
-    """
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    for part in (base, incoming):
-        registry.merge({
-            "counters": part.get("counters", {}),
-            "gauges": part.get("gauges", {}),
-            "histograms": part.get("histograms", {}),
-            "series": part.get("series", {}),
-        })
-    metrics = registry.to_dict()
-    histograms = {
-        name: {k: v for k, v in summary.items() if k != "p2"}
-        for name, summary in metrics["histograms"].items()
-    }
-
-    stages: Dict[str, Any] = {name: dict(stat)
-                              for name, stat in base.get("stages", {}).items()}
-    for name, stat in incoming.get("stages", {}).items():
-        if name in stages:
-            stages[name] = _merge_stage(stages[name], stat)
-        else:
-            stages[name] = dict(stat)
-
-    events = [dict(e) for e in base.get("events", [])]
-    events += [dict(e) for e in incoming.get("events", [])]
-    events.sort(key=lambda e: float(e.get("ts", 0.0)))  # stable: ties keep order
-    for seq, event in enumerate(events, start=1):
-        event["seq"] = seq
-
-    meta: Dict[str, Any] = dict(base.get("meta", {}))
-    meta.update(incoming.get("meta", {}))
-
-    return {
-        "schema": SCHEMA_VERSION,
-        "stages": {name: stages[name] for name in sorted(stages)},
-        "spans": list(base.get("spans", [])) + list(incoming.get("spans", [])),
-        "spans_dropped": (int(base.get("spans_dropped", 0))
-                          + int(incoming.get("spans_dropped", 0))),
-        "counters": metrics["counters"],
-        "gauges": metrics["gauges"],
-        "histograms": histograms,
-        "series": metrics["series"],
-        "events": events,
-        "events_dropped": (int(base.get("events_dropped", 0))
-                           + int(incoming.get("events_dropped", 0))),
-        "resources": (list(base.get("resources", []))
-                      + list(incoming.get("resources", []))),
-        "meta": meta,
-    }
 
 
 def to_json(payload: Mapping[str, Any], indent: int = 2) -> str:
@@ -195,8 +101,8 @@ def format_stage_table(stages: Mapping[str, Mapping[str, Any]],
                        spans_dropped: int = 0) -> str:
     """Human-readable per-stage breakdown of a payload's ``"stages"`` map.
 
-    Columns: stage name, calls, total/mean milliseconds, the streaming
-    p50/p95/p99 millisecond estimates, throughput (calls per second of
+    Columns: stage name, calls, total/mean milliseconds, the exact
+    p50/p95/p99 milliseconds, throughput (calls per second of
     stage time) and share of ``total_s``.  When ``total_s`` is not given,
     the widest stage's total is used, so nested stages read as fractions of
     the outermost one.  A nonzero ``spans_dropped`` adds a footer warning —

@@ -3,7 +3,7 @@
 A profile run produces one :mod:`repro.obs.export` payload — a snapshot
 with no memory.  The ledger gives runs a history: each ``repro-motions
 bench run`` appends one JSON line (git sha, configuration fingerprint,
-per-stage timings with streaming p50/p95/p99) to an append-only file, and
+per-stage timings with exact p50/p95/p99) to an append-only file, and
 ``repro-motions bench check`` compares the newest run against the runs
 before it at the same fingerprint.
 

@@ -11,24 +11,54 @@ Metric kinds
   candidates scanned, FCM iterations...).
 * :class:`Gauge` — last-write-wins scalar (pruning ratio of the latest
   query, training-window count of the latest fit...).
-* :class:`Histogram` — summary statistics (count/total/min/max/mean plus
-  streaming p50/p95/p99 via the P² digest in :mod:`repro.obs.quantiles`)
-  of an observed value, with a :meth:`MetricsRegistry.timer` helper that
-  observes elapsed seconds.
+* :class:`Histogram` — every observation of a value (8 B each), summarised
+  exactly on read by :func:`summarize` (count/total/min/max/mean and
+  p50/p95/p99), with a :meth:`MetricsRegistry.timer` helper that observes
+  elapsed seconds.
 * :class:`Series` — an append-only list of values, used for per-iteration
   telemetry such as the FCM objective trace.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Any, Dict, List, Mapping, Optional
+from array import array
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ValidationError
 from repro.obs.clock import Clock, MonotonicClock
-from repro.obs.quantiles import QuantileDigest
 
-__all__ = ["Counter", "Gauge", "Histogram", "Series", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "Series", "MetricsRegistry",
+           "summarize"]
+
+
+def summarize(values: Sequence[float]) -> Dict[str, float]:
+    """Exact ``{count, total, min, max, mean, p50, p95, p99}`` of ``values`` (zeros when empty).
+
+    ``total`` adds the values one at a time in the order given, so it and
+    ``mean`` depend on that order in the last bits; ``min``/``max`` keep
+    the first of equal values.  Each quantile interpolates linearly between
+    the two nearest sorted values (``numpy.percentile``'s default method, to
+    within one ulp), so it does not depend on the order.
+    """
+    count = len(values)
+    if count == 0:
+        return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0,
+                "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
+    total = 0.0
+    for value in values:
+        total += value
+    ordered = sorted(values)
+    quantiles = {}
+    for key, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
+        rank = q * (count - 1)
+        low = int(rank)
+        high = min(low + 1, count - 1)
+        frac = rank - low
+        quantiles[key] = ordered[low] * (1.0 - frac) + ordered[high] * frac
+    return {"count": count, "total": total, "min": min(values),
+            "max": max(values), "mean": total / count, **quantiles}
 
 
 class Counter:
@@ -78,44 +108,28 @@ class Gauge:
 
 
 class Histogram:
-    """Streaming summary statistics of an observed value."""
+    """Every observation of a value, summarised exactly on read."""
 
-    __slots__ = ("name", "count", "total", "min", "max", "_digest", "_lock")
+    __slots__ = ("name", "_values", "_lock")
 
     def __init__(self, name: str, lock: threading.Lock):
         self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self._digest = QuantileDigest()
+        self._values = array("d")
         self._lock = lock
 
     def observe(self, value: float) -> None:
-        """Fold one observation into the summary."""
+        """Record one observation (must be finite)."""
         value = float(value)
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"histogram {self.name!r} cannot observe {value}"
+            )
         with self._lock:
-            self.count += 1
-            self.total += value
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
-            self._digest.observe(value)
+            self._values.append(value)
 
     def summary(self) -> Dict[str, float]:
-        """``{count, total, min, max, mean, p50, p95, p99}`` (zeros when empty)."""
-        if self.count == 0:
-            return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0,
-                    "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.total / self.count,
-            **self._digest.estimates(),
-        }
+        """:func:`summarize` of the observations so far."""
+        return summarize(self._values)
 
 
 class Series:
@@ -218,9 +232,9 @@ class MetricsRegistry:
     def to_dict(self) -> Dict[str, Any]:
         """Deterministic snapshot: name-sorted plain dicts per metric kind.
 
-        Histogram entries additionally carry their quantile-digest state
-        under the ``"p2"`` key so :meth:`merge` can fold the stream, not
-        just the summary; exporters strip it (see
+        Histogram entries additionally carry their observations, in order,
+        under the ``"samples"`` key so :meth:`merge` can extend the stream,
+        not just the summary; exporters strip it (see
         :func:`repro.obs.export.collect_payload`).
         """
         with self._lock:
@@ -231,7 +245,7 @@ class MetricsRegistry:
                            for k in sorted(self._gauges)},
                 "histograms": {
                     k: {**self._histograms[k].summary(),
-                        "p2": self._histograms[k]._digest.state()}
+                        "samples": self._histograms[k]._values.tolist()}
                     for k in sorted(self._histograms)
                 },
                 "series": {k: list(self._series[k]._values)
@@ -241,31 +255,28 @@ class MetricsRegistry:
     def merge(self, other: Mapping[str, Any]) -> None:
         """Fold another registry's :meth:`to_dict` snapshot into this one.
 
-        Counters add, gauges take the incoming value, histogram summaries
-        combine (quantile digests replay the incoming ``"p2"`` state, or —
-        for summary-only snapshots — fold the incoming quantile points as
-        single observations), series extend.  Merging is snapshot-based so
+        Counters add, gauges take the incoming value, histograms extend
+        their observations with the incoming ``"samples"`` (so merging
+        snapshots in order gives the summary of one registry that saw every
+        observation), series extend.  A histogram entry whose ``"samples"``
+        do not match its ``count`` is rejected, since its observations
+        cannot be recovered from a summary.  Merging is snapshot-based so
         two live registries can be merged without lock-ordering hazards.
         """
         for name, value in other.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, value in other.get("gauges", {}).items():
             self.gauge(name).set(value)
-        for name, summary in other.get("histograms", {}).items():
+        for name, entry in other.get("histograms", {}).items():
             hist = self.histogram(name)
-            if summary.get("count", 0) <= 0:
-                continue
-            with self._lock:
-                hist.count += int(summary["count"])
-                hist.total += float(summary["total"])
-                hist.min = min(hist.min, float(summary["min"]))
-                hist.max = max(hist.max, float(summary["max"]))
-                if "p2" in summary:
-                    hist._digest.merge_state(summary["p2"])
-                else:
-                    for key in ("min", "p50", "p95", "p99", "max"):
-                        if key in summary:
-                            hist._digest.observe(float(summary[key]))
+            samples = entry.get("samples", ())
+            if len(samples) != entry.get("count", 0):
+                raise ValidationError(
+                    f"histogram {name!r} snapshot holds {len(samples)} "
+                    f"samples for count {entry.get('count')}"
+                )
+            for value in samples:
+                hist.observe(value)
         for name, values in other.get("series", {}).items():
             series = self.series(name)
             for value in values:

@@ -8,8 +8,8 @@ telemetry without a client-library dependency:
 * counters become ``<ns>_<name>_total`` samples with ``# TYPE ... counter``;
 * gauges become plain samples with ``# TYPE ... gauge``;
 * histograms become summaries — ``{quantile="0.5"|"0.95"|"0.99"}`` samples
-  plus ``_count`` / ``_sum`` — because the registry keeps streaming
-  quantiles, not fixed buckets;
+  plus ``_count`` / ``_sum`` — because the registry reports quantiles,
+  not fixed buckets;
 * ``spans_dropped`` / ``events_dropped`` become counters so telemetry loss
   is scrapeable.
 

@@ -8,9 +8,9 @@ exception propagates unchanged.
 
 The collector keeps two views of the data:
 
-* exact per-name aggregates (:class:`StageStat`: call count, total/min/max
-  duration, error count), maintained for *every* finished span regardless of
-  memory limits — the per-stage breakdown is never sampled;
+* exact per-name aggregates (:class:`StageStat`: every duration, 8 B each,
+  and the error count), maintained for *every* finished span regardless of
+  ``max_spans`` — the per-stage breakdown is never sampled;
 * individual :class:`SpanRecord` entries, bounded by ``max_spans`` so an
   instrumented benchmark sweep cannot exhaust memory (overflow is counted in
   :attr:`TraceCollector.dropped`, and ``max_spans=0`` keeps aggregates only).
@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import itertools
 import threading
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.clock import Clock, MonotonicClock
-from repro.obs.quantiles import QuantileDigest
+from repro.obs.metrics import summarize
 
 __all__ = [
     "SpanRecord",
@@ -88,48 +89,43 @@ class SpanRecord:
         }
 
 
-@dataclass
 class StageStat:
     """Exact per-stage aggregate over every finished span of one name.
 
-    Count/total/min/max are exact; p50/p95/p99 are streaming P² estimates
-    (see :mod:`repro.obs.quantiles`) so the aggregate stays O(1) memory no
-    matter how many spans fold in — the per-stage breakdown is never
-    sampled, even in ``max_spans=0`` aggregate-only sessions.
+    Keeps each duration, so :meth:`to_dict` reports exact figures (see
+    :func:`~repro.obs.metrics.summarize`) — the per-stage breakdown is
+    never sampled, even in ``max_spans=0`` aggregate-only sessions.
     """
 
-    calls: int = 0
-    total: float = 0.0
-    min: float = float("inf")
-    max: float = float("-inf")
-    errors: int = 0
-    digest: QuantileDigest = field(default_factory=QuantileDigest)
+    __slots__ = ("durations", "errors")
+
+    def __init__(self) -> None:
+        self.durations = array("d")
+        self.errors = 0
+
+    @property
+    def calls(self) -> int:
+        """Number of finished spans."""
+        return len(self.durations)
 
     def add(self, duration: float, error: Optional[str]) -> None:
         """Fold one finished span into the aggregate."""
-        self.calls += 1
-        self.total += duration
-        if duration < self.min:
-            self.min = duration
-        if duration > self.max:
-            self.max = duration
+        self.durations.append(duration)
         if error is not None:
             self.errors += 1
-        self.digest.observe(duration)
 
     def to_dict(self) -> Dict[str, float]:
         """``{calls, total_s, mean_s, min_s, max_s, p50_s, p95_s, p99_s, errors}``."""
-        if self.calls == 0:
-            return {"calls": 0, "total_s": 0.0, "mean_s": 0.0,
-                    "min_s": 0.0, "max_s": 0.0,
-                    "p50_s": 0.0, "p95_s": 0.0, "p99_s": 0.0, "errors": 0}
+        summary = summarize(self.durations)
         return {
-            "calls": self.calls,
-            "total_s": self.total,
-            "mean_s": self.total / self.calls,
-            "min_s": self.min,
-            "max_s": self.max,
-            **self.digest.estimates(suffix="_s"),
+            "calls": summary["count"],
+            "total_s": summary["total"],
+            "mean_s": summary["mean"],
+            "min_s": summary["min"],
+            "max_s": summary["max"],
+            "p50_s": summary["p50"],
+            "p95_s": summary["p95"],
+            "p99_s": summary["p99"],
             "errors": self.errors,
         }
 

@@ -22,7 +22,6 @@ from repro.signal.filters import (
     filtfilt,
 )
 from repro.signal.envelope import linear_envelope, moving_average
-from repro.signal.notch import notch_filter
 from repro.signal.rectify import full_wave_rectify
 from repro.signal.resample import decimate, downsample_to_rate
 from repro.signal.spectral import band_power, welch_psd
@@ -33,7 +32,6 @@ __all__ = [
     "butter_highpass",
     "butter_lowpass",
     "filtfilt",
-    "notch_filter",
     "linear_envelope",
     "moving_average",
     "full_wave_rectify",

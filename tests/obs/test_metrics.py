@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.obs.clock import ManualClock
+from repro.obs.config import capture, record_histogram
 from repro.obs.export import to_json
 from repro.obs.metrics import MetricsRegistry
 
@@ -49,6 +50,19 @@ class TestHistogram:
             "count": 3, "total": 6.0, "min": 1.0, "max": 3.0, "mean": 2.0,
             "p50": 2.0, "p95": pytest.approx(2.9), "p99": pytest.approx(2.98),
         }
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_value_rejected(self, value):
+        registry = MetricsRegistry()
+        hist = registry.histogram("h")
+        hist.observe(1.0)
+        with pytest.raises(ValidationError):
+            hist.observe(value)
+        assert hist.summary()["total"] == 1.0
+        with capture():
+            with pytest.raises(ValidationError):
+                record_histogram("h", value)
 
     def test_empty_summary_is_zeros(self):
         assert MetricsRegistry().histogram("h").summary() == {
@@ -96,13 +110,12 @@ class TestMerge:
         assert merged["counters"]["c"] == 3.0  # counters add
         assert merged["gauges"]["g"] == 9.0  # gauges overwrite
         histogram = merged["histograms"]["h"]
-        # Quantile state ("p2") is internal merge plumbing; compare the
-        # exact summary stats and sanity-check the merged quantiles.
         assert {key: histogram[key]
                 for key in ("count", "total", "min", "max", "mean")} == {
             "count": 3, "total": 9.0, "min": 1.0, "max": 5.0, "mean": 3.0,
         }
-        assert histogram["p50"] == 3.0  # merge replays the raw buffer
+        assert histogram["samples"] == [3.0, 1.0, 5.0]  # samples extend
+        assert histogram["p50"] == 3.0
         assert 1.0 <= histogram["p50"] <= histogram["p95"] \
             <= histogram["p99"] <= 5.0
         assert merged["series"]["s"] == [0.25, 0.5]  # series extend
@@ -118,6 +131,15 @@ class TestMerge:
         dst.merge({"histograms": {"h": {"count": 0, "total": 0.0,
                                         "min": 0.0, "max": 0.0, "mean": 0.0}}})
         assert dst.histogram("h").summary()["count"] == 0
+
+    def test_summary_only_histogram_rejected(self):
+        # Observations cannot be recovered from a summary, so a snapshot
+        # without them is refused rather than merged approximately.
+        dst = MetricsRegistry()
+        with pytest.raises(ValidationError):
+            dst.merge({"histograms": {"h": {"count": 2, "total": 3.0,
+                                            "min": 1.0, "max": 2.0,
+                                            "mean": 1.5}}})
 
 
 class TestDeterministicExport:

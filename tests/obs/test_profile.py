@@ -91,7 +91,7 @@ class TestQuantilesInPayload:
         assert latency["count"] >= 1
         for key in ("p50", "p95", "p99"):
             assert key in latency
-        assert "p2" not in latency  # internal merge state never exported
+        assert "samples" not in latency  # merge input, never exported
 
 
 class TestProvenanceInPayload:

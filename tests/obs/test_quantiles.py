@@ -1,9 +1,10 @@
-"""The P² streaming quantile estimator (repro.obs.quantiles).
+"""Exact p50/p95/p99 of histograms and stage aggregates.
 
-The estimator's contract: exact below five observations (sorted-buffer
-interpolation), close to ``numpy.percentile`` beyond (the P² markers are
-an O(1)-memory approximation), mergeable via its ``state()`` snapshot,
-and strictly validated.
+Both keep every observation and summarise on read
+(:func:`repro.obs.metrics.summarize`), so their quantiles are
+``numpy.percentile``'s default (linear) method to within one ulp — the
+interpolation is the same, written ``lo * (1 - f) + hi * f`` — at every
+count, and do not depend on the order the observations arrived in.
 """
 
 from __future__ import annotations
@@ -11,157 +12,47 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
-from repro.obs.quantiles import (
-    DEFAULT_QUANTILES,
-    P2Quantile,
-    QuantileDigest,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import StageStat
+
+QUANTILES = (("p50", 50.0), ("p95", 95.0), ("p99", 99.0))
 
 
-class TestSmallSamples:
-    def test_empty_estimate_is_zero(self):
-        assert P2Quantile(0.5).estimate == 0.0
-
-    def test_single_value(self):
-        est = P2Quantile(0.5)
-        est.observe(7.0)
-        assert est.estimate == 7.0
-
-    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.95, 0.99])
-    def test_exact_below_five_observations(self, q):
-        values = [4.0, 1.0, 3.0, 2.0]
-        est = P2Quantile(q)
-        for value in values:
-            est.observe(value)
-        assert est.estimate == pytest.approx(
-            float(np.percentile(values, 100.0 * q)))
-
-    def test_exactly_five_matches_numpy(self):
-        # The transition point: the five buffered values become the
-        # initial markers, which are exact for n = 5.
-        values = [5.0, 1.0, 4.0, 2.0, 3.0]
-        est = P2Quantile(0.5)
-        for value in values:
-            est.observe(value)
-        assert est.estimate == pytest.approx(3.0)
+def histogram_summary(values):
+    hist = MetricsRegistry().histogram("h")
+    for value in values:
+        hist.observe(value)
+    return hist.summary()
 
 
-class TestAccuracy:
-    """P² vs numpy.percentile on seeded streams (tolerance in IQR units)."""
-
-    @pytest.mark.parametrize("q,tol_iqr", [(0.5, 0.05), (0.95, 0.05),
-                                           (0.99, 0.10)])
-    def test_uniform_stream(self, q, tol_iqr):
-        rng = np.random.default_rng(0)
-        values = rng.uniform(0.0, 100.0, size=20_000)
-        est = P2Quantile(q)
-        for value in values:
-            est.observe(float(value))
-        exact = float(np.percentile(values, 100.0 * q))
-        iqr = float(np.percentile(values, 75) - np.percentile(values, 25))
-        assert abs(est.estimate - exact) <= tol_iqr * iqr
-
-    @pytest.mark.parametrize("q,tol_iqr", [(0.5, 0.05), (0.95, 0.05),
-                                           (0.99, 0.10)])
-    def test_normal_stream(self, q, tol_iqr):
-        rng = np.random.default_rng(1)
-        values = rng.normal(50.0, 10.0, size=20_000)
-        est = P2Quantile(q)
-        for value in values:
-            est.observe(float(value))
-        exact = float(np.percentile(values, 100.0 * q))
-        iqr = float(np.percentile(values, 75) - np.percentile(values, 25))
-        assert abs(est.estimate - exact) <= tol_iqr * iqr
-
-    def test_lognormal_tail(self):
-        # Heavy tails are the P² worst case; the p99 estimate must still
-        # land within a fraction of the spread.
-        rng = np.random.default_rng(2)
-        values = rng.lognormal(0.0, 1.0, size=20_000)
-        est = P2Quantile(0.99)
-        for value in values:
-            est.observe(float(value))
-        exact = float(np.percentile(values, 99.0))
-        iqr = float(np.percentile(values, 75) - np.percentile(values, 25))
-        assert abs(est.estimate - exact) <= 0.5 * iqr
-
-    def test_estimate_is_deterministic_for_a_stream(self):
-        rng = np.random.default_rng(3)
-        values = [float(v) for v in rng.normal(size=500)]
-        runs = []
-        for _ in range(2):
-            est = P2Quantile(0.95)
-            for value in values:
-                est.observe(value)
-            runs.append(est.estimate)
-        assert runs[0] == runs[1]
+def stage_summary(values):
+    stat = StageStat()
+    for value in values:
+        stat.add(value, None)
+    return {key.removesuffix("_s"): value
+            for key, value in stat.to_dict().items()}
 
 
-class TestMerge:
-    def test_buffer_state_merges_exactly(self):
-        src = P2Quantile(0.5)
-        for value in (1.0, 9.0, 5.0):
-            src.observe(value)
-        dst = P2Quantile(0.5)
-        dst.merge_state(src.state())
-        assert dst.count == 3
-        assert dst.estimate == src.estimate == 5.0
-
-    def test_marker_state_merge_is_reasonable(self):
-        rng = np.random.default_rng(4)
-        values = [float(v) for v in rng.uniform(0.0, 100.0, size=2_000)]
-        src = P2Quantile(0.5)
-        for value in values:
-            src.observe(value)
-        dst = P2Quantile(0.5)
-        dst.merge_state(src.state())
-        exact = float(np.percentile(values, 50.0))
-        iqr = float(np.percentile(values, 75) - np.percentile(values, 25))
-        assert abs(dst.estimate - exact) <= 0.25 * iqr
-
-    def test_merge_into_nonempty_accumulates_count(self):
-        dst = P2Quantile(0.5)
-        dst.observe(1.0)
-        src = P2Quantile(0.5)
-        src.observe(2.0)
-        src.observe(3.0)
-        dst.merge_state(src.state())
-        assert dst.count == 3
+SUMMARIES = {"histogram": histogram_summary, "stage": stage_summary}
 
 
-class TestDigest:
-    def test_default_quantile_keys(self):
-        assert DEFAULT_QUANTILES == (0.5, 0.95, 0.99)
-        digest = QuantileDigest()
-        assert digest.estimates() == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-    def test_suffix(self):
-        digest = QuantileDigest()
-        digest.observe(2.0)
-        assert digest.estimates(suffix="_s") == {
-            "p50_s": 2.0, "p95_s": 2.0, "p99_s": 2.0,
-        }
-
-    def test_state_round_trip(self):
-        src = QuantileDigest()
-        for value in (1.0, 2.0, 3.0, 4.0):
-            src.observe(value)
-        dst = QuantileDigest()
-        dst.merge_state(src.state())
-        assert dst.estimates() == src.estimates()
-
-    def test_quantiles_are_ordered(self):
-        rng = np.random.default_rng(5)
-        digest = QuantileDigest()
-        for value in rng.normal(size=1_000):
-            digest.observe(float(value))
-        est = digest.estimates()
-        assert est["p50"] <= est["p95"] <= est["p99"]
+@pytest.mark.parametrize("kind", sorted(SUMMARIES))
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 100, 1000])
+def test_quantiles_match_numpy_percentile(kind, n):
+    values = np.random.default_rng(n).lognormal(mean=-6.0, sigma=1.0, size=n)
+    summary = SUMMARIES[kind](values.tolist())
+    got = np.array([summary[key] for key, _ in QUANTILES])
+    want = np.percentile(values, [pct for _, pct in QUANTILES])
+    np.testing.assert_array_max_ulp(got, want, maxulp=1)
 
 
-class TestValidation:
-    @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5])
-    def test_rejects_out_of_range_quantile(self, q):
-        with pytest.raises(ValidationError):
-            P2Quantile(q)
+@pytest.mark.parametrize("kind", sorted(SUMMARIES))
+def test_permuted_stream_gives_the_same_summary(kind):
+    rng = np.random.default_rng(7)
+    # On a 2**-20 grid every partial sum is exact, so the sequential total
+    # is order-free too and the whole summary can be compared with ==.
+    values = np.round(rng.exponential(size=1000) * 2**20) / 2**20
+    original = SUMMARIES[kind](values.tolist())
+    for order in (rng.permutation(values), np.sort(values),
+                  np.sort(values)[::-1]):
+        assert SUMMARIES[kind](order.tolist()) == original

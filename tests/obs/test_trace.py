@@ -82,8 +82,9 @@ class TestSpanNesting:
                 pass
         stat = collector.stages()["stage"]
         assert stat.calls == 5
-        assert stat.total == pytest.approx(5.0)
-        assert stat.min == stat.max == pytest.approx(1.0)
+        row = stat.to_dict()
+        assert row["total_s"] == pytest.approx(5.0)
+        assert row["min_s"] == row["max_s"] == pytest.approx(1.0)
         assert stat.errors == 0
 
 

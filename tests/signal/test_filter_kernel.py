@@ -1,9 +1,10 @@
 """The block-recursive section kernel against the per-sample oracle and scipy.
 
-Every filter the library designs is run through :func:`filtfilt` and compared
-with the difference-equation loop it replaced (``tests/signal/iir_oracle.py``)
-and with ``scipy.signal.filtfilt``, over 1-D, multi-channel and ``axis=1``
-inputs whose lengths straddle the padding and the kernel's block length.
+Every filter the library designs, and a notch, is run through :func:`filtfilt`
+and compared with the difference-equation loop it replaced
+(``tests/signal/iir_oracle.py``) and with ``scipy.signal.filtfilt``, over 1-D,
+multi-channel and ``axis=1`` inputs whose lengths straddle the padding and the
+kernel's block length.
 
 The tolerance was fixed before the kernel was written:
 ``max|kernel - oracle| <= 1e-8 * max|oracle|``.  One ulp of the input's peak
@@ -17,13 +18,13 @@ import pytest
 import scipy.signal as ss
 
 from repro.signal.filters import _BLOCK, IIRFilter, butter_bandpass, butter_lowpass, filtfilt
-from repro.signal.notch import notch_filter
 from tests.signal import iir_oracle
 
 FS = 1000.0
 RTOL = 1e-8
 
-#: Every filter the library designs, at the settings its callers use.
+#: Every filter the library designs, at the settings its callers use, and
+#: scipy's 60 Hz notch: a biquad with its zeros on the unit circle.
 FILTERS = {
     # Myomonitor.condition -> downsample_to_rate(1000 Hz -> 120 Hz) anti-alias.
     "condition-lowpass": butter_lowpass(0.8 * 120.0 / 2.0, FS, order=8),
@@ -33,7 +34,7 @@ FILTERS = {
     "envelope-lowpass": butter_lowpass(6.0, FS, order=4),
     # decimate(x, 4, fs=1000) anti-alias filter.
     "decimate-lowpass": butter_lowpass(0.8 * (FS / 4) / 2.0, FS, order=8),
-    "notch-60hz": notch_filter(60.0, FS),
+    "notch-60hz": IIRFilter(*ss.iirnotch(60.0, 30.0, fs=FS)),
 }
 
 
