@@ -5,7 +5,7 @@
 PY ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-strict lint-changed selftest health bench-lint sweep-guard featurize-guard store-guard perfbench-tests perfbench-check perfbench-trace clean-lint-cache
+.PHONY: test lint lint-strict selftest health bench-lint sweep-guard featurize-guard store-guard perfbench-tests perfbench-check perfbench-trace
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/ -q
@@ -14,13 +14,10 @@ lint:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m repro.lint src/repro
 
 lint-strict:
-	PYTHONPATH=$(PYTHONPATH) $(PY) -m repro.lint src/repro --strict --cache .lint-cache.json
-
-lint-changed:
-	PYTHONPATH=$(PYTHONPATH) $(PY) -m repro.lint src/repro --changed
+	PYTHONPATH=$(PYTHONPATH) $(PY) -m repro.lint src/repro --strict
 
 selftest:
-	PYTHONPATH=$(PYTHONPATH) $(PY) -m repro.cli selftest --lint-cache .lint-cache.json
+	PYTHONPATH=$(PYTHONPATH) $(PY) -m repro.cli selftest
 
 health:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m repro.cli health --clusters 4 --seed 0 --openmetrics-out health.om
@@ -50,6 +47,3 @@ perfbench-check:
 
 perfbench-trace:
 	PYTHONPATH=$(PYTHONPATH) $(PY) perfbench/run.py --workload all --seed 0 --seconds 1 --trace 1
-
-clean-lint-cache:
-	rm -f .lint-cache.json

@@ -13,7 +13,11 @@ Protocol choices (documented in EXPERIMENTS.md):
 * 25 ms sliding-window stride (the paper says "sliding window approach";
   the stride ablation benchmark compares this against non-overlapping
   windows);
-* k = 5 for the retrieval metric, as in the paper.
+* k = 5 for the retrieval metric, as in the paper;
+* one BLAS thread, as in ``perfbench/run.py``.  FCM's matrix products round
+  differently on more threads, which can flip an Eq. 6 near-tie, so a
+  cached sweep is only ever written with the pin in force (see
+  :func:`_sweep_cached`).
 
 Every benchmark session also runs with observability enabled in
 aggregate-only mode (``max_spans=0`` — exact per-stage totals, no
@@ -28,23 +32,33 @@ against.
 from __future__ import annotations
 
 import json
+import os
+import sys
 from pathlib import Path
 
-import pytest
+#: The pin must be set before numpy loads its BLAS to take effect.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+ONE_BLAS_THREAD = "numpy" not in sys.modules or all(
+    os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
+for _var in _BLAS_THREAD_VARS:
+    os.environ[_var] = "1"
 
-from repro.data.protocol import (
+import pytest  # noqa: E402
+
+from repro.data.protocol import (  # noqa: E402
     build_dataset,
     hand_protocol,
     leg_protocol,
     whole_body_protocol,
 )
-from repro.data.serialize import load_dataset, save_dataset
-from repro.eval.experiments import ExperimentResult, SweepResult, run_experiment
-from repro.features.combine import WindowFeaturizer
-from repro.core.model import MotionClassifier
-from repro.obs.config import configure
-from repro.obs.export import collect_payload, write_json
-from repro.obs.ledger import (
+from repro.data.serialize import load_dataset, save_dataset  # noqa: E402
+from repro.eval.experiments import ExperimentResult, SweepResult, run_experiment  # noqa: E402
+from repro.features.combine import WindowFeaturizer  # noqa: E402
+from repro.core.model import MotionClassifier  # noqa: E402
+from repro.obs.config import configure  # noqa: E402
+from repro.obs.export import collect_payload, write_json  # noqa: E402
+from repro.obs.ledger import (  # noqa: E402
     Ledger,
     config_fingerprint,
     git_sha,
@@ -189,6 +203,12 @@ def _sweep_cached(study: str, train, test) -> SweepResult:
             )
             for r in rows
         ))
+    if not ONE_BLAS_THREAD:
+        pytest.fail(
+            f"{cache_file.name} is missing, and numpy was loaded before "
+            f"this conftest could pin BLAS to one thread; write it from a "
+            f"session that collects only benchmarks/"
+        )
     results = []
     for window_ms in WINDOW_SIZES_MS:
         for n_clusters in CLUSTER_GRID:

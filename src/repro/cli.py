@@ -92,14 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_parallel_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--n-jobs", type=int, default=1,
-                       help="feature-pipeline workers (1 = serial, -1 = all "
-                            "CPUs); results are byte-identical for every "
-                            "setting")
-        p.add_argument("--backend",
-                       choices=("auto", "serial", "thread", "process"),
-                       default="auto",
-                       help="parallel backend (auto picks by n_jobs and "
-                            "payload picklability)")
+                       help="feature-pipeline worker processes (1 = serial, "
+                            "-1 = all CPUs); results are byte-identical for "
+                            "every setting")
         p.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="content-addressed feature cache directory; "
                             "cached features are byte-identical to "
@@ -384,18 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--strict", action="store_true",
                         help="run the whole-program dataflow pass "
                              "(rules R7-R12) as well")
-    p_lint.add_argument("--changed", action="store_true",
-                        help="lint only files git reports as modified or "
-                             "untracked under the given paths")
-    p_lint.add_argument("--baseline", metavar="FILE", default=None,
-                        help="grandfathered-findings file (see "
-                             "docs/LINTING.md)")
-    p_lint.add_argument("--write-baseline", metavar="FILE", default=None,
-                        help="write current findings to FILE as a fresh "
-                             "baseline and exit 0")
-    p_lint.add_argument("--cache", metavar="FILE", default=None,
-                        help="reuse the report from FILE when no linted "
-                             "file changed")
 
     p_self = sub.add_parser(
         "selftest",
@@ -406,12 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: ./tests)")
     p_self.add_argument("--skip-tests", action="store_true",
                         help="run only the lint half (no pytest)")
-    p_self.add_argument("--baseline", metavar="FILE", default=None,
-                        help="baseline file for the strict lint pass "
-                             "(default: ./lint-baseline.json when present)")
-    p_self.add_argument("--lint-cache", metavar="FILE", default=None,
-                        help="content-keyed lint report cache file "
-                             "(reused when no source file changed)")
     return parser
 
 
@@ -438,7 +415,7 @@ def _cmd_build(args) -> int:
             featurizer = RobustFeaturizer(featurizer, args.robust_policy)
         cache = FeatureCache(args.cache_dir)
         featurize_records(featurizer, dataset.records, n_jobs=args.n_jobs,
-                          backend=args.backend, cache=cache)
+                          cache=cache)
         stats = cache.stats
         print(f"warmed feature cache in {args.cache_dir}: "
               f"{len(dataset)} motions, {stats.hits} hits, "
@@ -459,7 +436,6 @@ def _cmd_evaluate(args) -> int:
         scaler_mode=args.scaler,
         clusterer=args.clusterer,
         n_jobs=args.n_jobs,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         robust_policy=args.robust_policy,
     )
@@ -497,7 +473,6 @@ def _cmd_sweep(args) -> int:
             classifier = MotionClassifier(n_clusters=n_clusters,
                                           featurizer=featurizer,
                                           n_jobs=args.n_jobs,
-                                          backend=args.backend,
                                           cache_dir=args.cache_dir)
             results.append(run_experiment(train, test, k=args.k,
                                           seed=args.seed,
@@ -553,7 +528,6 @@ def _cmd_bench(args) -> int:
             k=args.k,
             seed=args.seed,
             n_jobs=args.n_jobs,
-            backend=args.backend,
             cache_dir=args.cache_dir,
         )
         record = record_from_payload(payload, label=args.label)
@@ -777,10 +751,6 @@ def _cmd_lint(args) -> int:
         fmt=args.format,
         select=args.select,
         strict=args.strict,
-        changed=args.changed,
-        baseline_path=args.baseline,
-        write_baseline_path=args.write_baseline,
-        cache_path=args.cache,
     )
 
 
@@ -792,13 +762,8 @@ def _cmd_selftest(args) -> int:
 
     from repro.lint.cli import run as lint_run
 
-    baseline = args.baseline
-    if baseline is None and Path("lint-baseline.json").is_file():
-        baseline = "lint-baseline.json"
     print("== lint (strict: rules R1-R12 over the installed repro package) ==")
-    lint_failed = lint_run([], fmt="text", select=None, strict=True,
-                           baseline_path=baseline,
-                           cache_path=args.lint_cache) != 0
+    lint_failed = lint_run([], fmt="text", select=None, strict=True) != 0
     tests_failed = False
     if not args.skip_tests:
         tests_dir = Path(args.tests)
@@ -875,7 +840,6 @@ def _cmd_profile(args) -> int:
         test_fraction=args.test_fraction,
         seed=args.seed,
         n_jobs=args.n_jobs,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         robust_policy=args.robust_policy,
         max_spans=args.max_spans,

@@ -48,7 +48,7 @@ from repro.obs.config import (
     time_histogram,
 )
 from repro.parallel.cache import FeatureCache
-from repro.parallel.executor import BACKENDS, effective_n_jobs
+from repro.parallel.executor import effective_n_jobs
 from repro.parallel.runner import featurize_records
 from repro.retrieval.knn import knn_vote
 from repro.retrieval.linear import LinearScanIndex
@@ -126,12 +126,10 @@ class MotionClassifier:
     n_init:
         Clustering restarts.
     n_jobs:
-        Workers for the per-motion feature fan-out (fit and query sides);
-        ``1`` (the default) is the serial path, ``-1`` uses all CPUs.  Every
-        setting produces byte-identical results.
-    backend:
-        Parallel backend: ``"auto"`` (default), ``"serial"``, ``"thread"``
-        or ``"process"`` (see :mod:`repro.parallel.executor`).
+        Worker processes for the fit-side per-motion feature fan-out; ``1``
+        (the default) is the serial path, ``-1`` uses all CPUs (see
+        :mod:`repro.parallel.executor`).  Every setting produces
+        byte-identical results.
     cache_dir:
         Directory for the content-addressed feature cache; ``None`` (the
         default) disables caching.  Cached features are byte-identical to
@@ -158,7 +156,6 @@ class MotionClassifier:
         clusterer: Union[str, Callable[[int], object]] = "fcm",
         n_init: int = 1,
         n_jobs: int = 1,
-        backend: str = "auto",
         cache_dir: Optional[Union[str, Path]] = None,
         robust_policy: Union[str, DegradationPolicy, None] = None,
     ):
@@ -174,11 +171,6 @@ class MotionClassifier:
         self.clusterer = clusterer
         self.n_init = check_positive_int(n_init, name="n_init")
         self.n_jobs = effective_n_jobs(n_jobs)
-        if backend not in BACKENDS:
-            raise ClusteringError(
-                f"unknown parallel backend {backend!r}; use one of {BACKENDS}"
-            )
-        self.backend = backend
         self.feature_cache: Optional[FeatureCache] = (
             FeatureCache(cache_dir) if cache_dir is not None else None
         )
@@ -216,7 +208,7 @@ class MotionClassifier:
                   n_clusters=self.n_clusters) as sp:
             per_motion = featurize_records(
                 self.featurizer, list(database), n_jobs=self.n_jobs,
-                backend=self.backend, cache=self.feature_cache,
+                cache=self.feature_cache,
             )
             all_windows = np.vstack([wf.matrix for wf in per_motion])
             if not np.isfinite(all_windows).all():

@@ -77,7 +77,8 @@ class StoreError(RetrievalError):
 
 
 class SerializationError(ReproError):
-    """Saving or loading a dataset/model artifact failed."""
+    """Saving or loading a dataset/model artifact, or pickling work for a
+    process pool, failed."""
 
 
 class CacheError(ReproError):

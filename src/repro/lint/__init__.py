@@ -24,7 +24,7 @@ Whole-program rules (run with ``--strict`` over the call graph built by
 
 ========  ==============================================================
 ``R7``    no unguarded shared mutable state reachable from functions
-          dispatched through ``repro.parallel`` executors
+          dispatched through ``repro.parallel.pool_map``
 ``R8``    persistence writes in cache/retrieval paths go through
           :func:`repro.utils.atomicio.atomic_write`
 ``R9``    feature/fuzzy/signature code paths never transitively reach
@@ -36,15 +36,13 @@ Whole-program rules (run with ``--strict`` over the call graph built by
 ========  ==============================================================
 
 Violations suppress per line with ``# lint: ignore[R2]`` (see
-:mod:`repro.lint.suppressions`); known findings can be grandfathered in
-a :mod:`repro.lint.baseline` file instead of fixed.  Run it as
-``python -m repro.lint src/repro --strict`` or ``repro-motions lint``;
-the library API is :func:`lint_paths`, which returns a
-:class:`LintReport`.  The full rule catalogue is documented in
+:mod:`repro.lint.suppressions`), the one way to silence a finding.
+Run it as ``python -m repro.lint src/repro --strict`` or
+``repro-motions lint``; the library API is :func:`lint_paths`, which
+returns a :class:`LintReport`.  The full rule catalogue is documented in
 ``docs/LINTING.md``.
 """
 
-from repro.lint.baseline import Baseline, baseline_key
 from repro.lint.flows import GRAPH_RULE_IDS, GRAPH_RULES, GraphRule, run_graph_rules
 from repro.lint.graph import ProjectGraph
 from repro.lint.rules import ALL_RULES, RULE_IDS, Rule, rules_by_id
@@ -59,8 +57,6 @@ __all__ = [
     "GRAPH_RULE_IDS",
     "GraphRule",
     "ProjectGraph",
-    "Baseline",
-    "baseline_key",
     "Rule",
     "rules_by_id",
     "run_graph_rules",

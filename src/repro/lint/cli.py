@@ -6,31 +6,22 @@ Exit codes: 0 — clean tree; 1 — violations found; 2 — usage or I/O error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import subprocess
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.errors import LintError, ReproError
-from repro.lint.baseline import Baseline
+from repro.errors import ReproError
 from repro.lint.flows import GRAPH_RULES
 from repro.lint.rules import ALL_RULES, RULE_IDS
-from repro.lint.runner import LintReport, iter_python_files, lint_paths
-from repro.lint.violations import Violation
+from repro.lint.runner import LintReport, lint_paths
 
 __all__ = [
     "build_parser",
-    "changed_python_files",
     "default_target",
     "main",
     "run",
 ]
-
-#: Version stamped into ``--cache`` files; bump when report layout or rule
-#: semantics change so stale CI caches miss instead of lying.
-_CACHE_SCHEMA = 1
 
 
 def default_target() -> str:
@@ -38,88 +29,6 @@ def default_target() -> str:
     import repro
 
     return str(Path(repro.__file__).parent)
-
-
-def changed_python_files(paths: List[str]) -> List[str]:
-    """Python files under ``paths`` that git reports as modified/untracked.
-
-    Changes are taken against ``HEAD`` (staged + unstaged) plus untracked
-    files, so ``lint --changed`` covers exactly what a commit would add.
-    Raises :class:`LintError` when git is unavailable or the working
-    directory is not a repository.
-    """
-    try:
-        tracked = subprocess.run(
-            ["git", "diff", "--name-only", "HEAD", "--"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", "") or str(exc)
-        raise LintError(f"--changed needs a git checkout: {detail.strip()}")
-    candidates = sorted(
-        {str(Path(top) / rel) for rel in (tracked + untracked).splitlines()
-         if rel.endswith(".py")}
-    )
-    scopes = [Path(p).resolve() for p in paths]
-    selected: List[str] = []
-    for candidate in candidates:
-        resolved = Path(candidate).resolve()
-        if not resolved.is_file():
-            continue  # deleted files show up in the diff
-        for scope in scopes:
-            if resolved == scope or scope in resolved.parents:
-                selected.append(candidate)
-                break
-    return selected
-
-
-def _tree_digest(paths: List[str]) -> str:
-    """Content digest of every Python file a run would lint."""
-    hasher = hashlib.sha256()
-    hasher.update(f"repro.lint.cache/v{_CACHE_SCHEMA}".encode())
-    for path, _root in iter_python_files([Path(p) for p in paths]):
-        hasher.update(str(path).encode())
-        hasher.update(path.read_bytes())
-    return hasher.hexdigest()
-
-
-def _cache_lookup(cache_path: Path, digest: str) -> Optional[LintReport]:
-    try:
-        payload = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    if payload.get("schema") != _CACHE_SCHEMA or payload.get("key") != digest:
-        return None
-    report = payload.get("report")
-    try:
-        return LintReport(
-            violations=tuple(Violation(**v) for v in report["violations"]),
-            n_files=report["files_checked"],
-            n_grandfathered=report["grandfathered"],
-        )
-    except (KeyError, TypeError):
-        return None
-
-
-def _cache_store(cache_path: Path, digest: str, report: LintReport) -> None:
-    from repro.utils.atomicio import atomic_write
-
-    payload = {"schema": _CACHE_SCHEMA, "key": digest,
-               "report": report.to_dict()}
-    try:
-        with atomic_write(cache_path, mode="w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    except OSError:
-        pass  # a cold cache next run, not a lint failure
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,19 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strict", action="store_true",
                         help="run the whole-program dataflow pass "
                              "(rules R7-R12) on top of the per-module rules")
-    parser.add_argument("--changed", action="store_true",
-                        help="lint only files git reports as modified or "
-                             "untracked under the given paths")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="grandfathered-findings file; matching "
-                             "violations are counted, not reported")
-    parser.add_argument("--write-baseline", metavar="FILE", default=None,
-                        help="write current findings to FILE as a fresh "
-                             "baseline and exit 0")
-    parser.add_argument("--cache", metavar="FILE", default=None,
-                        help="reuse the report from FILE when no linted "
-                             "file changed (content-digest keyed; written "
-                             "after each full run)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     return parser
@@ -166,50 +62,21 @@ def _print_report(report: LintReport, fmt: str) -> None:
     for violation in report.violations:
         print(violation.format_text())
     noun = "file" if report.n_files == 1 else "files"
-    grandfathered = (f" ({report.n_grandfathered} grandfathered)"
-                     if report.n_grandfathered else "")
     if report.ok:
-        print(f"checked {report.n_files} {noun}: clean{grandfathered}")
+        print(f"checked {report.n_files} {noun}: clean")
     else:
         count = len(report.violations)
         issue = "violation" if count == 1 else "violations"
-        print(f"checked {report.n_files} {noun}: {count} {issue}"
-              f"{grandfathered}")
+        print(f"checked {report.n_files} {noun}: {count} {issue}")
 
 
 def run(paths: List[str], fmt: str = "text",
         select: Optional[List[str]] = None,
-        strict: bool = False,
-        changed: bool = False,
-        baseline_path: Optional[str] = None,
-        write_baseline_path: Optional[str] = None,
-        cache_path: Optional[str] = None) -> int:
+        strict: bool = False) -> int:
     """Lint ``paths`` and print a report; returns the process exit code."""
     try:
-        targets = list(paths) or [default_target()]
-        if changed:
-            targets = changed_python_files(targets)
-            if not targets:
-                print("no changed python files to lint")
-                return 0
-        baseline = (Baseline.load(baseline_path)
-                    if baseline_path is not None else None)
-        digest = None
-        if cache_path is not None:
-            digest = _tree_digest(targets)
-            cached = _cache_lookup(Path(cache_path), digest)
-            if cached is not None:
-                _print_report(cached, fmt)
-                return 0 if cached.ok else 1
-        report = lint_paths(targets, select=select, strict=strict,
-                            baseline=baseline)
-        if write_baseline_path is not None:
-            count = Baseline.write(write_baseline_path, report.violations)
-            print(f"wrote {count} baseline entr"
-                  f"{'y' if count == 1 else 'ies'} to {write_baseline_path}")
-            return 0
-        if cache_path is not None and digest is not None:
-            _cache_store(Path(cache_path), digest, report)
+        report = lint_paths(list(paths) or [default_target()],
+                            select=select, strict=strict)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -232,8 +99,4 @@ def main(argv: Optional[List[str]] = None) -> int:
         fmt=args.format,
         select=args.select,
         strict=args.strict,
-        changed=args.changed,
-        baseline_path=args.baseline,
-        write_baseline_path=args.write_baseline,
-        cache_path=args.cache,
     )

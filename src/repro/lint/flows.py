@@ -77,8 +77,8 @@ def check_parallel_shared_state(graph: ProjectGraph) -> List[Violation]:
     """Flag unguarded shared-state mutations reachable from worker roots.
 
     A worker root is any function passed to ``repro.parallel.pool_map``;
-    with the process backend it runs concurrently with the parent and,
-    with the thread backend, with its siblings.  Mutating module-level
+    with more than one job it runs in worker processes, concurrently with
+    the parent and with its siblings.  Mutating module-level
     or captured mutable state from such a function is a race unless the
     mutation is lock-guarded (``with <...lock...>:``) or the line carries
     an explicit ownership marker (``# lint: owner[reason]``).

@@ -7,7 +7,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import LintError, ValidationError
-from repro.lint.baseline import Baseline
 from repro.lint.context import ModuleContext
 from repro.lint.flows import GRAPH_RULE_IDS, run_graph_rules
 from repro.lint.graph import ProjectGraph
@@ -25,19 +24,16 @@ class LintReport:
 
     violations: Tuple[Violation, ...]
     n_files: int
-    #: Findings matched (and swallowed) by the active baseline.
-    n_grandfathered: int = 0
 
     @property
     def ok(self) -> bool:
-        """Whether the tree is clean (modulo grandfathered findings)."""
+        """Whether the tree is clean."""
         return not self.violations
 
     def to_dict(self) -> dict:
         """JSON-friendly representation for ``--format json``."""
         return {
             "files_checked": self.n_files,
-            "grandfathered": self.n_grandfathered,
             "ok": self.ok,
             "violations": [v.to_dict() for v in self.violations],
         }
@@ -97,7 +93,6 @@ def lint_paths(
     paths: Sequence,
     select: Optional[Sequence[str]] = None,
     strict: bool = False,
-    baseline: Optional[Baseline] = None,
 ) -> LintReport:
     """Lint files/directories and return the report.
 
@@ -112,9 +107,9 @@ def lint_paths(
     strict:
         Run the whole-program dataflow pass (rules R7–R12) on top of
         whatever ``select`` names.
-    baseline:
-        Optional grandfathered-findings baseline; matching violations
-        are counted in ``n_grandfathered`` instead of reported.
+
+    Findings silenced by an inline ``# lint: ignore[...]`` comment are
+    left out; there is no other way to silence one.
     """
     module_select, graph_ids = _split_select(select, strict)
     rules: Tuple[Rule, ...] = rules_by_id(module_select)
@@ -153,19 +148,9 @@ def lint_paths(
                     violation.rule, violation.line):
                 continue
             violations.append(violation)
-    n_grandfathered = 0
-    if baseline is not None and len(baseline):
-        kept: List[Violation] = []
-        for violation in violations:
-            if baseline.matches(violation):
-                n_grandfathered += 1
-            else:
-                kept.append(violation)
-        violations = kept
     return LintReport(
         violations=sort_violations(violations),
         n_files=len(files),
-        n_grandfathered=n_grandfathered,
     )
 
 

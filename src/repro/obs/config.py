@@ -111,7 +111,9 @@ def configure(
     clock:
         Inject a time source (implies fresh, empty recorders bound to it).
     reset:
-        Discard all collected spans, metrics and events.
+        Discard all collected spans, metrics and events, and any injected
+        clock: without ``clock`` the fresh recorders read a new
+        :class:`~repro.obs.clock.MonotonicClock`.
     max_spans:
         New bound on retained span records (implies fresh recorders).
     max_events:
@@ -130,7 +132,7 @@ def configure(
                 or max_events is not None:
             _STATE = _fresh_state(
                 enabled=new_enabled,
-                clock=clock if clock is not None else prev.clock,
+                clock=clock if clock is not None or reset else prev.clock,
                 max_spans=max_spans if max_spans is not None else prev.max_spans,
                 max_events=(max_events if max_events is not None
                             else prev.max_events),
@@ -276,6 +278,8 @@ def capture(clock: Optional[Clock] = None,
             max_events: Optional[int] = None) -> Iterator[ObsState]:
     """Profiling session: fresh recorders, enabled inside, disabled after.
 
+    The recorders read ``clock``, or a new monotonic clock when it is
+    ``None``; a clock injected into an earlier session is never reused.
     The yielded state retains its data after the block exits, so callers
     export from it::
 

@@ -53,7 +53,6 @@ def run_profile(
     clock: Optional[Clock] = None,
     max_spans: Optional[int] = None,
     n_jobs: int = 1,
-    backend: str = "auto",
     cache_dir: Optional[str] = None,
     robust_policy: str = "off",
     sample_resources: bool = False,
@@ -104,7 +103,6 @@ def run_profile(
             model = MotionClassifier(n_clusters=clusters,
                                      featurizer=featurizer,
                                      n_jobs=n_jobs,
-                                     backend=backend,
                                      cache_dir=cache_dir,
                                      robust_policy=robust_policy)
             model.fit(train, seed=seed)
@@ -131,7 +129,6 @@ def run_profile(
             "k": k_eff,
             "seed": seed,
             "n_jobs": n_jobs,
-            "backend": backend,
             "cache_dir": cache_dir,
             "robust_policy": robust_policy,
             "misclassification_pct": misclassification_rate(true_labels,

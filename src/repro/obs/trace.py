@@ -26,7 +26,7 @@ import itertools
 import threading
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.clock import Clock, MonotonicClock
 from repro.obs.metrics import summarize
@@ -259,6 +259,20 @@ class TraceCollector:
         """Copy of the exact per-name aggregates."""
         with self._lock:
             return dict(self._stages)
+
+    def merge_stages(self, stages: Mapping[str, StageStat]) -> None:
+        """Fold another collector's :meth:`stages` into this one's aggregates.
+
+        Each name's durations extend this collector's and its errors add,
+        as if the spans had finished here; no :class:`SpanRecord` is added.
+        """
+        with self._lock:
+            for name, other in stages.items():
+                stat = self._stages.get(name)
+                if stat is None:
+                    stat = self._stages[name] = StageStat()
+                stat.durations.extend(other.durations)
+                stat.errors += other.errors
 
     @property
     def dropped(self) -> int:

@@ -1,36 +1,30 @@
-"""One worker-pool API over serial, thread and process backends.
+"""One worker-pool API: serial for one job, a process pool otherwise.
 
 :func:`pool_map` is the single entry point: it maps a function over a list
-of items and returns the results **in input order**, whatever backend runs
-the work and in whatever order tasks complete.  Backend selection is
-explicit (``"serial"`` / ``"thread"`` / ``"process"``) or automatic
-(``"auto"``): one job means serial, more jobs mean a process pool when the
-payload pickles and a thread pool otherwise (numpy releases the GIL in the
-BLAS/LAPACK kernels that dominate featurization, so threads still help).
+of items and returns the results **in input order**, in whatever order the
+tasks complete.  One job (or at most one item) runs inline in the calling
+process; more jobs run on a process pool.
 
 Determinism contract
 --------------------
 The executor never reorders, drops or retries work.  ``pool_map(fn, items)``
 returns ``[fn(items[0]), fn(items[1]), ...]`` exactly; a worker exception
-cancels the run and propagates to the caller.  Combined with pure ``fn``
-this makes every backend byte-identical to the serial one.
+cancels the run and reaches the caller with its own type.  Combined with
+pure ``fn`` this makes every ``n_jobs`` byte-identical to the serial run.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, List, Sequence
 
-from repro.errors import ValidationError
+from repro.errors import SerializationError
 from repro.obs.config import record_counter, span
 from repro.utils.validation import check_positive_int
 
-__all__ = ["BACKENDS", "effective_n_jobs", "payload_picklable", "resolve_backend", "pool_map"]
-
-#: Recognized backend names (``"auto"`` resolves to one of the other three).
-BACKENDS = ("auto", "serial", "thread", "process")
+__all__ = ["effective_n_jobs", "pool_map"]
 
 
 def effective_n_jobs(n_jobs: int) -> int:
@@ -44,70 +38,36 @@ def effective_n_jobs(n_jobs: int) -> int:
     return check_positive_int(n_jobs, name="n_jobs")
 
 
-def payload_picklable(*objects: Any) -> bool:
-    """Whether every object survives a pickle round-trip (process-pool safe)."""
-    try:
-        for obj in objects:
-            pickle.loads(pickle.dumps(obj))
-    except Exception:  # noqa: BLE001 - any pickling failure means "no"
-        return False
-    return True
-
-
-def resolve_backend(backend: str, n_jobs: int, *payload: Any) -> str:
-    """Resolve a backend request to ``"serial"``, ``"thread"`` or ``"process"``.
-
-    Parameters
-    ----------
-    backend:
-        One of :data:`BACKENDS`.  ``"auto"`` picks serial for one job, a
-        process pool when ``payload`` pickles, and a thread pool otherwise.
-    n_jobs:
-        Requested worker count (``-1`` = all CPUs).
-    payload:
-        Sample objects that would cross the process boundary (the function
-        and one work item); only consulted by ``"auto"``.
-    """
-    if backend not in BACKENDS:
-        raise ValidationError(
-            f"unknown parallel backend {backend!r}; use one of {BACKENDS}"
-        )
-    if backend != "auto":
-        return backend
-    if effective_n_jobs(n_jobs) == 1:
-        return "serial"
-    return "process" if payload_picklable(*payload) else "thread"
+def _call_pickled(task: bytes) -> Any:
+    fn, item = pickle.loads(task)
+    return fn(item)
 
 
 def pool_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
     n_jobs: int = 1,
-    backend: str = "auto",
 ) -> List[Any]:
-    """Map ``fn`` over ``items`` on the chosen backend, preserving order.
+    """Map ``fn`` over ``items``, preserving order.
 
-    Returns ``[fn(item) for item in items]``; the serial backend is exactly
-    that list comprehension.  Thread and process backends submit every item
-    up front and collect results in submission order, so the merge is
-    order-stable regardless of completion order.  Worker exceptions
-    propagate to the caller.
+    Returns ``[fn(item) for item in items]``: exactly that list
+    comprehension when ``n_jobs`` resolves to 1 or there is at most one
+    item, otherwise the same list computed on a process pool.  Each
+    ``(fn, item)`` pair is pickled in the calling process first, so work
+    that cannot cross the process boundary raises
+    :class:`~repro.errors.SerializationError` before any worker starts.
     """
     jobs = effective_n_jobs(n_jobs)
-    resolved = resolve_backend(backend, n_jobs, fn, items[0] if len(items) else None)
-    with span("parallel.map", backend=resolved, n_jobs=jobs,
-              n_tasks=len(items)) as sp:
-        # The backend name goes on the span, not on a counter: metric
-        # exports must stay byte-identical across backends (the executed
-        # work is the same), while spans describe the execution.
+    with span("parallel.map", n_jobs=jobs, n_tasks=len(items)):
         record_counter("parallel.tasks", len(items))
-        if resolved == "serial" or jobs == 1 or len(items) <= 1:
-            results = [fn(item) for item in items]
-            sp.set(backend="serial" if jobs == 1 else resolved)
-            return results
-        workers = min(jobs, len(items))
-        if resolved == "thread":
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, items))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+        if jobs == 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        try:
+            tasks = [pickle.dumps((fn, item)) for item in items]
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise SerializationError(
+                f"cannot send {getattr(fn, '__qualname__', fn)!r} and its "
+                f"items to a process pool: {type(exc).__name__}: {exc}"
+            ) from exc
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+            return list(pool.map(_call_pickled, tasks))

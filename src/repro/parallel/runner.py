@@ -4,21 +4,22 @@
 
     [featurizer.features(rec) for rec in records]
 
-and is byte-identical to it for every backend and cache state.  The flow:
+and is byte-identical to it for every ``n_jobs`` and cache state.  The flow:
 
 1. consult the cache (in the calling process) for every record;
-2. compute only the misses, fanned out on the requested backend via
+2. compute only the misses, serially or fanned out over a process pool via
    :func:`repro.parallel.executor.pool_map` (order-stable);
 3. store the freshly computed entries back (again in the calling process,
    so process workers never contend for cache files);
 4. merge hits and computed results into one list in **input order**.
 
-Process workers run with their own (fresh, disabled) observability state;
-when the parent's observability is enabled the workers are asked to record
-into a private registry whose counters/gauges/series snapshot is shipped
-back and merged into the parent registry in input order — so metric exports
-match the serial run exactly.  Individual spans from process workers are
-not transported (stage timings of child processes stay local to them).
+Process workers run with their own observability state.  When the parent's
+observability is enabled, each worker records into a private session on a
+copy of the parent's clock and ships back its metrics snapshot (counters,
+gauges, histogram samples, series) and its per-stage span aggregates; the
+parent merges both in input order, so metric exports match the serial run
+exactly and the stage table has the serial run's names and call counts.
+Individual span records and provenance events stay in the worker.
 """
 
 from __future__ import annotations
@@ -28,39 +29,35 @@ from typing import Any, List, Optional, Sequence, Tuple
 from repro.data.record import RecordedMotion
 from repro.errors import FeatureError
 from repro.features.base import WindowFeatures
-from repro.obs.config import (
-    capture,
-    current_state,
-    is_enabled,
-    record_event,
-    span,
-)
+from repro.obs.clock import Clock
+from repro.obs.config import capture, current_state, record_event, span
 from repro.parallel.cache import FeatureCache, record_cache_key
-from repro.parallel.executor import pool_map, resolve_backend
+from repro.parallel.executor import effective_n_jobs, pool_map
 
 __all__ = ["featurize_records"]
 
 
-def _featurize_in_process(payload: Tuple[Any, RecordedMotion, bool]):
-    """Process-pool worker: compute one motion's features.
+def _featurize_in_process(payload: Tuple[Any, RecordedMotion, Optional[Clock]]):
+    """Compute one motion's features; the worker function of the fan-out.
 
-    Runs in a child process with fresh observability state.  When the parent
-    had observability enabled, the work runs inside a private capture
-    session and the metrics snapshot travels back for merging.
+    ``clock`` is ``None`` when the call runs in the calling process or the
+    parent's observability is off: the features are computed under whatever
+    state is active.  Otherwise the work runs in a private capture session
+    on ``clock`` and its metrics snapshot and stage aggregates travel back
+    for merging.
     """
-    featurizer, record, parent_obs_enabled = payload
-    if not parent_obs_enabled:
-        return featurizer.features(record), None
-    with capture() as state:
+    featurizer, record, clock = payload
+    if clock is None:
+        return featurizer.features(record), None, None
+    with capture(clock=clock) as state:
         features = featurizer.features(record)
-    return features, state.registry.to_dict()
+    return features, state.registry.to_dict(), state.collector.stages()
 
 
 def featurize_records(
     featurizer,
     records: Sequence[RecordedMotion],
     n_jobs: int = 1,
-    backend: str = "auto",
     cache: Optional[FeatureCache] = None,
 ) -> List[WindowFeatures]:
     """Window + featurize every record, in parallel and through the cache.
@@ -69,15 +66,14 @@ def featurize_records(
     ----------
     featurizer:
         A :class:`~repro.features.combine.WindowFeaturizer` (anything with
-        ``features(record)`` and ``cache_fingerprint()``).
+        ``features(record)`` and ``cache_fingerprint()``).  With more than
+        one job it must pickle; if it does not,
+        :class:`~repro.errors.SerializationError` is raised.
     records:
         The motions to featurize.
     n_jobs:
-        Worker count; ``1`` (the default) runs serially, ``-1`` uses all
-        CPUs.
-    backend:
-        ``"auto"``, ``"serial"``, ``"thread"`` or ``"process"`` (see
-        :func:`repro.parallel.executor.resolve_backend`).
+        Worker processes; ``1`` (the default) runs serially, ``-1`` uses
+        all CPUs.
     cache:
         Optional :class:`~repro.parallel.cache.FeatureCache`; hits skip
         computation entirely, misses are computed then stored.
@@ -109,23 +105,22 @@ def featurize_records(
                      computed=len(pending))
 
         if pending:
-            resolved = resolve_backend(backend, n_jobs, featurizer,
-                                       records[pending[0][0]])
-            if resolved == "process":
-                parent_enabled = is_enabled()
-                payloads = [(featurizer, records[i], parent_enabled)
-                            for i, _ in pending]
-                outcomes = pool_map(_featurize_in_process, payloads,
-                                    n_jobs=n_jobs, backend=resolved)
-                computed = []
-                for features, metrics in outcomes:
-                    computed.append(features)
-                    if metrics is not None:
-                        current_state().registry.merge(metrics)
-            else:
-                computed = pool_map(featurizer.features,
-                                    [records[i] for i, _ in pending],
-                                    n_jobs=n_jobs, backend=resolved)
+            # More than one job and more than one miss: pool_map runs the
+            # misses on a process pool, whose workers report back.
+            jobs = min(effective_n_jobs(n_jobs), len(pending))
+            state = current_state()
+            clock = state.clock if jobs > 1 and state.enabled else None
+            outcomes = pool_map(
+                _featurize_in_process,
+                [(featurizer, records[i], clock) for i, _ in pending],
+                n_jobs=jobs,
+            )
+            computed = []
+            for features, metrics, stages in outcomes:
+                computed.append(features)
+                if metrics is not None:
+                    state.registry.merge(metrics)
+                    state.collector.merge_stages(stages)
             for (i, key), features in zip(pending, computed):
                 results[i] = features
                 # A None from a broken worker is caught by the merge guard

@@ -1,4 +1,4 @@
-"""Fixture tests for the whole-program rules R7–R12 and the baseline flow.
+"""Fixture tests for the whole-program rules R7–R12 and the strict CLI.
 
 Each rule gets at least one fixture proving it fires on bad code and one
 proving it stays silent on good code, per the subsystem's acceptance
@@ -15,8 +15,7 @@ import sys
 
 import pytest
 
-from repro.errors import LintError
-from repro.lint import Baseline, lint_paths
+from repro.lint import lint_paths
 from repro.lint.cli import main as lint_main
 
 #: Minimal executor module making ``pool_map`` resolvable in fixtures.
@@ -552,63 +551,7 @@ class TestR12:
 
 
 # ----------------------------------------------------------------------
-# Baseline workflow
-# ----------------------------------------------------------------------
-
-
-class TestBaseline:
-    BAD = {
-        "parallel/store.py":
-            "def save(path, text):\n"
-            "    with open(path, \"w\") as handle:\n"
-            "        handle.write(text)\n",
-    }
-
-    def test_baseline_grandfathers_matching_findings(self, tmp_path):
-        write_tree(tmp_path, self.BAD)
-        dirty = lint_paths([tmp_path], select=["R8"])
-        assert not dirty.ok
-        baseline_file = tmp_path / "baseline.json"
-        Baseline.write(baseline_file, dirty.violations,
-                       note="tracked in issue #42")
-        baseline = Baseline.load(baseline_file)
-        clean = lint_paths([tmp_path], select=["R8"], baseline=baseline)
-        assert clean.ok
-        assert clean.n_grandfathered == len(dirty.violations)
-
-    def test_baseline_does_not_hide_new_findings(self, tmp_path):
-        write_tree(tmp_path, self.BAD)
-        dirty = lint_paths([tmp_path], select=["R8"])
-        baseline_file = tmp_path / "baseline.json"
-        Baseline.write(baseline_file, dirty.violations, note="tracked")
-        write_tree(tmp_path, {
-            "retrieval/persist.py":
-                "import os\n\n"
-                "def save(path, tmp):\n"
-                "    os.replace(tmp, path)\n",
-        })
-        report = lint_paths([tmp_path], select=["R8"],
-                            baseline=Baseline.load(baseline_file))
-        assert rules_of(report) == ["R8"]
-        assert report.violations[0].path.endswith("persist.py")
-
-    def test_baseline_without_note_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"entries": [
-            {"rule": "R8", "path": "parallel/store.py", "message": "m"},
-        ]}))
-        with pytest.raises(LintError):
-            Baseline.load(path)
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("[]")
-        with pytest.raises(LintError):
-            Baseline.load(path)
-
-
-# ----------------------------------------------------------------------
-# CLI: --strict / --baseline / --write-baseline / --changed / --cache
+# CLI: --strict
 # ----------------------------------------------------------------------
 
 
@@ -626,64 +569,6 @@ class TestCli:
         assert lint_main([str(tmp_path), "--select", "R3"]) == 0
         assert lint_main([str(tmp_path), "--select", "R3", "--strict"]) == 1
         assert "R8" in capsys.readouterr().out
-
-    def test_write_then_use_baseline(self, tmp_path, capsys):
-        write_tree(tmp_path, self.BAD)
-        baseline = tmp_path / "lint-baseline.json"
-        assert lint_main([str(tmp_path), "--strict",
-                          "--write-baseline", str(baseline)]) == 0
-        assert baseline.is_file()
-        assert lint_main([str(tmp_path), "--strict",
-                          "--baseline", str(baseline)]) == 0
-        assert "grandfathered" in capsys.readouterr().out
-
-    def test_changed_lints_only_modified_files(self, tmp_path, capsys,
-                                               monkeypatch):
-        write_tree(tmp_path, {
-            "clean.py": "__all__ = []\n",
-            "other.py": "__all__ = []\n",
-        })
-        git = ["git", "-c", "user.email=t@t", "-c", "user.name=t"]
-        subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
-        subprocess.run(git + ["add", "."], cwd=tmp_path, check=True)
-        subprocess.run(git + ["commit", "-q", "-m", "seed"],
-                       cwd=tmp_path, check=True)
-        (tmp_path / "other.py").write_text("import numpy as np\n"
-                                           "x = np.random.default_rng()\n"
-                                           "__all__ = [\"x\"]\n")
-        monkeypatch.chdir(tmp_path)
-        assert lint_main([str(tmp_path), "--changed"]) == 1
-        out = capsys.readouterr().out
-        assert "checked 1 file" in out
-        assert "other.py" in out
-
-    def test_changed_with_no_modifications_exits_clean(self, tmp_path,
-                                                       capsys, monkeypatch):
-        write_tree(tmp_path, {"clean.py": "__all__ = []\n"})
-        git = ["git", "-c", "user.email=t@t", "-c", "user.name=t"]
-        subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
-        subprocess.run(git + ["add", "."], cwd=tmp_path, check=True)
-        subprocess.run(git + ["commit", "-q", "-m", "seed"],
-                       cwd=tmp_path, check=True)
-        monkeypatch.chdir(tmp_path)
-        assert lint_main([str(tmp_path), "--changed"]) == 0
-        assert "no changed python files" in capsys.readouterr().out
-
-    def test_cache_reuses_report_until_tree_changes(self, tmp_path, capsys):
-        write_tree(tmp_path, {"mod.py": "__all__ = []\n"})
-        cache = tmp_path / "cache" / "report.json"
-        args = [str(tmp_path / "mod.py"), "--strict", "--cache", str(cache)]
-        assert lint_main(args) == 0
-        payload = json.loads(cache.read_text())
-        first_key = payload["key"]
-        assert lint_main(args) == 0  # served from cache
-        (tmp_path / "mod.py").write_text(
-            "__all__ = []\n\ndef f():\n    raise ValueError(\"x\")\n")
-        capsys.readouterr()
-        assert lint_main([str(tmp_path / "mod.py"), "--strict",
-                          "--cache", str(cache)]) == 1
-        assert "R2" in capsys.readouterr().out
-        assert json.loads(cache.read_text())["key"] != first_key
 
 
 # ----------------------------------------------------------------------

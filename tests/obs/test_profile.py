@@ -9,8 +9,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.data.serialize import save_dataset
 from repro.errors import ValidationError
-from repro.obs.clock import ManualClock
-from repro.obs.config import configure
+from repro.obs.clock import ManualClock, MonotonicClock
+from repro.obs.config import configure, current_state
 from repro.obs.export import SCHEMA_VERSION, to_json
 from repro.obs.profile import REQUIRED_STAGES, run_profile
 
@@ -76,6 +76,16 @@ class TestRunProfile:
                                **PROFILE_KWARGS)
 
         assert to_json(run()) == to_json(run())
+
+    def test_default_run_does_not_reuse_an_injected_clock(self):
+        pinned = run_profile(clock=ManualClock(auto_advance=1e-6),
+                             **PROFILE_KWARGS)
+        assert isinstance(current_state().clock, ManualClock)
+        real = run_profile(**PROFILE_KWARGS)
+        assert isinstance(current_state().clock, MonotonicClock)
+        # Pinned ticks are 1 µs per clock read; real time is far longer.
+        assert real["stages"]["model.fit"]["total_s"] > \
+            10 * pinned["stages"]["model.fit"]["total_s"]
 
 
 class TestQuantilesInPayload:

@@ -87,6 +87,23 @@ class TestSpanNesting:
         assert row["min_s"] == row["max_s"] == pytest.approx(1.0)
         assert stat.errors == 0
 
+    def test_merge_stages_extends_aggregates_not_records(self):
+        parent, worker = ticking_collector(), TraceCollector(
+            ManualClock(auto_advance=2.0), max_spans=100)
+        with parent.start("stage", {}):
+            pass
+        with worker.start("stage", {}):
+            pass
+        with pytest.raises(ValidationError):
+            with worker.start("other", {}):
+                raise ValidationError("bad")
+        parent.merge_stages(worker.stages())
+        stages = parent.stages()
+        assert list(stages["stage"].durations) == [1.0, 2.0]
+        assert stages["other"].calls == 1
+        assert stages["other"].errors == 1
+        assert [r.name for r in parent.records()] == ["stage"]
+
 
 class TestExceptionSafety:
     def test_exception_propagates_and_span_closes(self):
@@ -238,6 +255,15 @@ class TestCapture:
                 pass
         assert not is_enabled()
         assert state.collector.stages()["inside"].calls == 1
+
+    def test_capture_without_clock_does_not_reuse_an_injected_one(self):
+        with capture(clock=ManualClock(auto_advance=1.0)):
+            pass
+        with capture() as state:
+            pass
+        assert isinstance(state.clock, MonotonicClock)
+        configure(clock=ManualClock())
+        assert isinstance(configure(reset=True).clock, MonotonicClock)
 
     def test_capture_disables_even_on_error(self):
         with pytest.raises(ValidationError):

@@ -1,16 +1,16 @@
-"""Determinism harness: every backend and cache state is byte-identical.
+"""Determinism harness: every ``n_jobs`` and cache state is byte-identical.
 
 The contract under test (the whole point of ``repro.parallel``): the fitted
 signatures, the per-motion window memberships, the classifications and the
 ``repro.obs`` metric exports of a pipeline run must not change when the work
-is fanned out over threads or processes, or served from a warm cache.
+is fanned out over worker processes, or served from a warm cache.
 
 Comparison rules
 ----------------
 * Arrays are compared as raw bytes (``tobytes()``), not with tolerances —
   parallelism must not change a single bit.
 * Metric exports are compared over counters, gauges and series.  Spans and
-  histograms carry wall-clock timings and per-thread ordering, so they are
+  histograms carry timings of the process that ran them, so they are
   execution *descriptions*, not results, and are excluded.
 * Cold- vs warm-cache runs compare outputs only: the ``parallel.cache.*``
   counters intentionally differ (that difference is asserted separately).
@@ -75,21 +75,13 @@ def serial_baseline(toy_dataset_module):
     return run_pipeline(toy_dataset_module)
 
 
-class TestParallelBackends:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_n_jobs_4_matches_serial(self, toy_dataset_module, serial_baseline,
-                                     backend):
-        parallel = run_pipeline(toy_dataset_module, n_jobs=4, backend=backend)
+class TestProcessPool:
+    @pytest.mark.parametrize("n_jobs", [2, 4])
+    def test_matches_serial(self, toy_dataset_module, serial_baseline, n_jobs):
+        parallel = run_pipeline(toy_dataset_module, n_jobs=n_jobs)
         assert parallel["signatures"] == serial_baseline["signatures"]
         assert parallel["queries"] == serial_baseline["queries"]
         assert parallel["predictions"] == serial_baseline["predictions"]
-        assert parallel["metrics"] == serial_baseline["metrics"]
-
-    def test_auto_backend_matches_serial(self, toy_dataset_module,
-                                         serial_baseline):
-        parallel = run_pipeline(toy_dataset_module, n_jobs=2, backend="auto")
-        assert parallel["signatures"] == serial_baseline["signatures"]
-        assert parallel["queries"] == serial_baseline["queries"]
         assert parallel["metrics"] == serial_baseline["metrics"]
 
 
@@ -117,12 +109,24 @@ class TestCacheStates:
         assert warm["cache_stats"]["stores"] == 0
         assert warm["cache_stats"]["hits"] == 3 * n  # fit + signature + classify
 
-    def test_warm_cache_with_process_pool_matches_serial(
-            self, toy_dataset_module, serial_baseline, tmp_path):
-        cache_dir = tmp_path / "features"
-        run_pipeline(toy_dataset_module, cache_dir=cache_dir)  # warm it up
-        mixed = run_pipeline(toy_dataset_module, n_jobs=4, backend="process",
-                             cache_dir=cache_dir)
-        assert mixed["signatures"] == serial_baseline["signatures"]
-        assert mixed["queries"] == serial_baseline["queries"]
-        assert mixed["cache_stats"]["misses"] == 0
+    @pytest.mark.parametrize("n_jobs", [2, 4])
+    def test_cold_and_warm_cache_with_process_pool_match_serial(
+            self, toy_dataset_module, serial_baseline, tmp_path, n_jobs):
+        # Each n_jobs fills its own cache, then reads it back; the cache
+        # counters belong to the metrics compared, so the serial runs go
+        # through a cache too.
+        runs = {}
+        for jobs in (1, n_jobs):
+            cache_dir = tmp_path / f"features-{jobs}"
+            runs[jobs] = [run_pipeline(toy_dataset_module, n_jobs=jobs,
+                                       cache_dir=cache_dir)
+                          for _ in ("cold", "warm")]
+        for serial, fanned in zip(runs[1], runs[n_jobs]):
+            assert fanned["signatures"] == serial_baseline["signatures"]
+            assert fanned["queries"] == serial_baseline["queries"]
+            assert fanned["predictions"] == serial_baseline["predictions"]
+            assert fanned["metrics"] == serial["metrics"]
+            assert fanned["cache_stats"] == serial["cache_stats"]
+        cold, warm = runs[n_jobs]
+        assert cold["cache_stats"]["misses"] == len(toy_dataset_module)
+        assert warm["cache_stats"]["misses"] == 0

@@ -1,20 +1,15 @@
-"""Worker-pool executor: order stability, backend resolution, error paths."""
+"""Worker-pool executor: order stability, serial vs process runs, error paths."""
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import pytest
 
-from repro.errors import ValidationError
-from repro.parallel.executor import (
-    BACKENDS,
-    effective_n_jobs,
-    payload_picklable,
-    pool_map,
-    resolve_backend,
-)
+from repro.errors import ReproError, SerializationError, ValidationError
+from repro.parallel.executor import effective_n_jobs, pool_map
 
 
 def _square(x):
@@ -34,6 +29,10 @@ def _explode_on_three(x):
     return x
 
 
+def _pid(_):
+    return os.getpid()
+
+
 class TestEffectiveNJobs:
     def test_positive_passthrough(self):
         assert effective_n_jobs(1) == 1
@@ -48,59 +47,49 @@ class TestEffectiveNJobs:
             effective_n_jobs(bad)
 
 
-class TestResolveBackend:
-    def test_explicit_backends_pass_through(self):
-        for backend in ("serial", "thread", "process"):
-            assert resolve_backend(backend, 4) == backend
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValidationError, match="unknown parallel backend"):
-            resolve_backend("greenlet", 4)
-
-    def test_auto_one_job_is_serial(self):
-        assert resolve_backend("auto", 1, _square, 1) == "serial"
-
-    def test_auto_picklable_payload_is_process(self):
-        assert payload_picklable(_square, [1, 2, 3])
-        assert resolve_backend("auto", 4, _square, 1) == "process"
-
-    def test_auto_unpicklable_payload_falls_back_to_thread(self):
-        unpicklable = lambda x: x  # noqa: E731 - lambdas do not pickle
-        assert not payload_picklable(unpicklable)
-        assert resolve_backend("auto", 4, unpicklable, 1) == "thread"
-
-    def test_backends_tuple_is_the_contract(self):
-        assert BACKENDS == ("auto", "serial", "thread", "process")
-
-
 class TestPoolMap:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_matches_list_comprehension(self, backend):
+    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
+    def test_matches_list_comprehension(self, n_jobs):
         items = list(range(10))
-        assert pool_map(_square, items, n_jobs=4, backend=backend) == [
+        assert pool_map(_square, items, n_jobs=n_jobs) == [
             _square(i) for i in items
         ]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_order_stable_under_out_of_order_completion(self, backend):
+    @pytest.mark.parametrize("n_jobs", [2, 4])
+    def test_order_stable_under_out_of_order_completion(self, n_jobs):
         items = list(range(8))
-        result = pool_map(_sleepy_negate, items, n_jobs=4, backend=backend)
+        result = pool_map(_sleepy_negate, items, n_jobs=n_jobs)
         assert result == [-i for i in items]
 
     def test_empty_items(self):
-        assert pool_map(_square, [], n_jobs=4, backend="auto") == []
+        assert pool_map(_square, [], n_jobs=4) == []
+
+    def test_more_jobs_run_in_worker_processes(self):
+        pids = pool_map(_pid, list(range(6)), n_jobs=2)
+        assert os.getpid() not in pids
 
     def test_single_item_runs_inline(self):
-        assert pool_map(_square, [5], n_jobs=4, backend="thread") == [25]
+        assert pool_map(_pid, [0], n_jobs=4) == [os.getpid()]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_worker_exception_propagates(self, backend):
-        with pytest.raises(ValueError, match="boom at 3"):
-            pool_map(_explode_on_three, list(range(6)), n_jobs=2, backend=backend)
-
-    def test_unpicklable_fn_works_on_auto(self):
-        # auto detects the unpicklable closure and picks the thread pool.
+    def test_inline_runs_pickle_nothing(self):
+        # One job or one item never crosses a process boundary, so an
+        # unpicklable closure is fine there.
         offset = 10
-        result = pool_map(lambda x: x + offset, list(range(4)), n_jobs=2,
-                          backend="auto")
-        assert result == [10, 11, 12, 13]
+        assert pool_map(lambda x: x + offset, [1, 2], n_jobs=1) == [11, 12]
+        assert pool_map(lambda x: x + offset, [5], n_jobs=4) == [15]
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
+    def test_worker_exception_propagates(self, n_jobs):
+        with pytest.raises(ValueError, match="boom at 3"):
+            pool_map(_explode_on_three, list(range(6)), n_jobs=n_jobs)
+
+    @pytest.mark.parametrize("n_jobs", [2, 4])
+    def test_unpicklable_fn_raises_typed_error(self, n_jobs):
+        offset = 10
+        with pytest.raises(SerializationError, match="process pool"):
+            pool_map(lambda x: x + offset, list(range(4)), n_jobs=n_jobs)
+
+    def test_unpicklable_item_raises_typed_error(self):
+        items = [1, threading.Lock(), 3]
+        with pytest.raises(ReproError, match="process pool"):
+            pool_map(_square, items, n_jobs=2)

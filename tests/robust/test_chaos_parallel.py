@@ -21,7 +21,13 @@ import pytest
 
 from repro.core.model import MotionClassifier
 from repro.data.dataset import MotionDataset
-from repro.errors import CacheError, FeatureError, ReproError, ValidationError
+from repro.errors import (
+    CacheError,
+    FeatureError,
+    ReproError,
+    SerializationError,
+    ValidationError,
+)
 from repro.features.base import WindowFeatures
 from repro.features.combine import WindowFeaturizer
 from repro.parallel.cache import FeatureCache, record_cache_key
@@ -30,13 +36,14 @@ from tests.factories import synthetic_record, toy_motion_dataset
 
 pytestmark = pytest.mark.chaos
 
-BACKENDS = ("serial", "thread", "process")
+#: Serial, and process pools of two and four workers.
+N_JOBS = (1, 2, 4)
 
 
 class ExplodingFeaturizer:
     """Featurizes normally until it meets the poisoned record, then raises.
 
-    Module-level (picklable) so the process backend can ship it to workers.
+    Module-level (picklable) so the process pool can ship it to workers.
     """
 
     def __init__(self, poison_key: str):
@@ -109,19 +116,29 @@ def records():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_worker_exception_propagates_cleanly(backend, records):
+@pytest.mark.parametrize("n_jobs", N_JOBS)
+def test_worker_exception_propagates_cleanly(n_jobs, records):
     featurizer = ExplodingFeaturizer(poison_key=records[2].key)
     with pytest.raises(ValidationError, match="exploded"):
-        featurize_records(featurizer, records, n_jobs=2, backend=backend)
+        featurize_records(featurizer, records, n_jobs=n_jobs)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_worker_nan_features_raise_typed_in_worker(backend, records):
+@pytest.mark.parametrize("n_jobs", N_JOBS)
+def test_worker_nan_features_raise_typed_in_worker(n_jobs, records):
     """NaN matrices die at WindowFeatures construction, inside the worker."""
     featurizer = StrictNaNFeaturizer()
     with pytest.raises(ValidationError):
-        featurize_records(featurizer, records, n_jobs=2, backend=backend)
+        featurize_records(featurizer, records, n_jobs=n_jobs)
+
+
+def test_unpicklable_featurizer_raises_typed_error(records):
+    """A featurizer that cannot reach a worker process is a typed error."""
+    featurizer = WindowFeaturizer(window_ms=100.0)
+    featurizer.hook = lambda record: record  # closures do not pickle
+    with pytest.raises(SerializationError, match="process pool"):
+        featurize_records(featurizer, records, n_jobs=2)
+    # One job never pickles, so the same featurizer works serially.
+    assert len(featurize_records(featurizer, records)) == len(records)
 
 
 def test_worker_exception_leaves_no_cache_entries(records, tmp_path):
@@ -129,8 +146,7 @@ def test_worker_exception_leaves_no_cache_entries(records, tmp_path):
     cache = FeatureCache(tmp_path / "cache")
     featurizer = ExplodingFeaturizer(poison_key=records[1].key)
     with pytest.raises(ValidationError):
-        featurize_records(featurizer, records, n_jobs=2, backend="thread",
-                          cache=cache)
+        featurize_records(featurizer, records, n_jobs=2, cache=cache)
     stored = list((tmp_path / "cache").rglob("*.npz"))
     assert stored == []
     assert cache.stats.stores == 0
@@ -318,7 +334,7 @@ def test_degraded_dataset_fit_survives_process_backend(tmp_path):
     degraded = MotionDataset(name="degraded-toy", records=faulted_records)
     model = MotionClassifier(
         n_clusters=4, window_ms=100.0, robust_policy="repair",
-        n_jobs=2, backend="process", cache_dir=tmp_path / "cache",
+        n_jobs=2, cache_dir=tmp_path / "cache",
     )
     model.fit(degraded, seed=0)
     result = model.classify_with_report(faulted_records[0], k=1)

@@ -1,9 +1,12 @@
 """The repro-motions command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.data.serialize import save_dataset
+from repro.lint.cli import main as lint_main
 
 
 @pytest.fixture
@@ -113,7 +116,7 @@ def test_sweep_csv_export(tmp_path, toy_dataset):
 
 
 class TestParallelFlags:
-    """The --n-jobs / --backend / --cache-dir knobs (repro.parallel)."""
+    """The --n-jobs / --cache-dir knobs (repro.parallel)."""
 
     @pytest.mark.parametrize("command, tail", [
         ("build", ["-o", "/tmp/x"]),
@@ -124,7 +127,7 @@ class TestParallelFlags:
     def test_defaults_on_every_subcommand(self, command, tail):
         args = build_parser().parse_args([command, *tail])
         assert args.n_jobs == 1
-        assert args.backend == "auto"
+        assert not hasattr(args, "backend")
         assert args.cache_dir is None
 
     def test_help_documents_the_knobs(self, capsys):
@@ -132,22 +135,15 @@ class TestParallelFlags:
             build_parser().parse_args(["evaluate", "--help"])
         out = capsys.readouterr().out
         assert "--n-jobs" in out
-        assert "--backend" in out
         assert "--cache-dir" in out
         assert "byte-identical" in out
-
-    def test_backend_choices_are_validated(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["evaluate", "ds", "--backend", "mpi"])
-        assert "invalid choice" in capsys.readouterr().err
 
     def test_evaluate_with_parallel_and_cache(self, saved_toy, tmp_path,
                                               capsys):
         cache_dir = tmp_path / "feature_cache"
         argv = [
             "evaluate", saved_toy, "--clusters", "3", "--k", "2",
-            "--n-jobs", "2", "--backend", "thread",
-            "--cache-dir", str(cache_dir),
+            "--n-jobs", "2", "--cache-dir", str(cache_dir),
         ]
         assert main(argv) == 0
         serial_out = capsys.readouterr().out
@@ -214,6 +210,38 @@ class TestRobustFlag:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["evaluate", "--help"])
         assert "--robust-policy" in capsys.readouterr().out
+
+
+#: Flags deleted with the thread backend and the lint report cache,
+#: baseline file and changed-files mode, per command.
+_DELETED_FLAGS = [
+    (["lint"], ["--baseline", "--write-baseline", "--cache", "--changed"]),
+    (["selftest"], ["--baseline", "--lint-cache"]),
+    (["build"], ["--backend"]),
+    (["evaluate"], ["--backend"]),
+    (["sweep"], ["--backend"]),
+    (["profile"], ["--backend"]),
+    (["bench", "run"], ["--backend"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", _DELETED_FLAGS,
+                         ids=[" ".join(c) for c, _ in _DELETED_FLAGS])
+def test_help_lists_no_deleted_flag(command, flags, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*command, "--help"])
+    out = capsys.readouterr().out
+    for flag in flags:
+        # "--cache" must not match "--cache-dir".
+        assert not re.search(rf"{flag}(?![\w-])", out), flag
+
+
+def test_lint_module_help_lists_no_deleted_flag(capsys):
+    with pytest.raises(SystemExit):
+        lint_main(["--help"])
+    out = capsys.readouterr().out
+    for flag in ("--baseline", "--write-baseline", "--cache", "--changed"):
+        assert not re.search(rf"{flag}(?![\w-])", out), flag
 
 
 class TestSelftest:
