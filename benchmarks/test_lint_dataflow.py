@@ -5,10 +5,11 @@ call graph and dataflow fixpoints over all of ``src/repro`` on every
 ``repro-motions selftest`` run, so its cost is paid constantly during
 development.  This guard times an uncached end-to-end strict pass over the
 real tree, records the measurement to ``benchmarks/_cache/lint_dataflow.json``
-for trend tracking, and fails if the full pass exceeds a 10 s budget —
-roughly 5x the current cost, so it catches algorithmic regressions
-(accidental quadratic resolution, unbounded fixpoints) without flaking on
-machine noise.
+for trend tracking, and fails if the full pass exceeds a 10 s budget.  The
+recorded pass over 121 files took 2.3 s on a shared 2-core x86 host, where
+passes of 2.3-3.1 s have been measured, so the budget is about 3-4x the
+current cost: it catches algorithmic regressions (accidental quadratic
+resolution, unbounded fixpoints) without flaking on machine noise.
 """
 
 from __future__ import annotations

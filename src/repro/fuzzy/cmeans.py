@@ -23,6 +23,15 @@ Every iteration makes one pass of :func:`squared_distances`, the shared
 matrix-product kernel of :mod:`repro.utils.distances` (re-exported here),
 which feeds both the membership update and the objective.  It matches a
 naive loop within a documented band rather than bit for bit.
+
+Each iteration avoids passes over its ``(n, c)`` arrays that recompute
+something already in hand: the row norms ``‖x‖²`` are computed once per
+fit, ``u^m`` once per iteration (for the objective and the next center
+update), and :func:`membership_from_distances` tests the whole matrix for
+zero distances once, taking the masked equal-split path only when a point
+sits on a center (the initial memberships, whose centers are data points).
+Every result is bit-identical to the loop without these shortcuts, which
+``tests/fuzzy/fcm_oracle.py`` keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -177,21 +186,27 @@ class FuzzyCMeans:
         # Initialize centers on distinct random points; this converges faster
         # and more reproducibly than random memberships.
         centers = x[rng.choice(n, size=c, replace=False)].copy()
+        # The row norms never change within a fit; passing them to the
+        # distance kernel leaves every distance bit-identical.
+        x_sq = np.einsum("nd,nd->n", x, x)
         membership = membership_from_distances(
-            squared_distances(x, centers), self.m
+            squared_distances(x, centers, x_sq), self.m
         )
+        weights = membership**self.m
         history = []
         converged = False
         iteration = 0
         for iteration in range(1, self.max_iter + 1):
             with span("fcm.iterate", iteration=iteration) as sp:
                 previous = membership
-                centers = self._centers(x, membership)
+                centers = self._centers(x, weights)
                 # One distance pass per iteration feeds both the membership
-                # update and the objective (previously computed twice).
-                d2 = squared_distances(x, centers)
+                # update and the objective, and one u^m feeds both the
+                # objective and the next iteration's center update.
+                d2 = squared_distances(x, centers, x_sq)
                 membership = membership_from_distances(d2, self.m)
-                objective = float(np.sum((membership**self.m) * d2))
+                weights = membership**self.m
+                objective = float(np.sum(weights * d2))
                 if is_enabled():
                     # Membership shift is pure telemetry (the stopping rule is
                     # the objective), so the extra O(nc) pass only runs when
@@ -217,8 +232,8 @@ class FuzzyCMeans:
     # Update steps
     # ------------------------------------------------------------------
 
-    def _centers(self, x: np.ndarray, membership: np.ndarray) -> np.ndarray:
-        weights = membership**self.m  # (n, c)
+    def _centers(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Centers from the ``(n, c)`` weights ``u^m``."""
         denom = weights.sum(axis=0)  # (c,)
         # A cluster abandoned by every point keeps a center at the weighted
         # grand mean rather than dividing by zero.
@@ -240,10 +255,24 @@ def membership_from_distances(d2: np.ndarray, m: float) -> np.ndarray:
     among the coinciding centers (the limit of the update rule).  Both the
     regular and the degenerate branch are whole-matrix operations — no
     per-point Python loop.
+
+    One whole-matrix test, ``d2.min() > _EPS``, sends the common case down
+    a fast path with no zero mask; the masked path runs only when it fails,
+    which includes NaN.  For ``m = 2`` the fast path divides ``1.0 / d2``,
+    which matched ``d2 ** -1.0`` bit for bit on every input tried, at about
+    half the cost.  Every output is bit-identical to the former single
+    masked path (``tests/fuzzy/fcm_oracle.py``).
     """
+    power = 1.0 / (m - 1.0)
+    if d2.size and d2.min() > _EPS:
+        # Only m exactly 2 gives the exponent -1.0, whose bits a division
+        # reproduces at half the cost; any other m keeps the power, since
+        # an equivalent formula could differ in the last bit.
+        u = 1.0 / d2 if m == 2.0 else d2 ** (-power)  # lint: ignore[R4]
+        u /= u.sum(axis=1, keepdims=True)
+        return u
     zero_mask = d2 <= _EPS
     has_zero = zero_mask.any(axis=1)
-    power = 1.0 / (m - 1.0)
     safe = np.where(zero_mask, 1.0, d2)
     inv = safe ** (-power)
     u = inv / inv.sum(axis=1, keepdims=True)

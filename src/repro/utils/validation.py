@@ -27,7 +27,8 @@ Each spec is a parenthesized, comma-separated list of dimension tokens:
     ``"(..., 3)"`` accepts every array whose last axis has size 3.
 
 Parameters whose value is ``None`` are skipped, which keeps the decorator
-friendly to ``Optional[np.ndarray]`` arguments.  The linter's R5 rule
+friendly to ``Optional[np.ndarray]`` arguments, and so are parameters left
+at their default.  The linter's R5 rule
 (:mod:`repro.lint`) recognizes the decorator as a declared shape contract
 and statically cross-checks that contracted names exist and specs parse.
 """
@@ -281,36 +282,62 @@ def shapes(**contracts: str):
     The parsed contracts are attached to the wrapper as
     ``__shape_contracts__`` so tools (and :mod:`repro.lint`) can introspect
     them.
+
+    Each contracted parameter's position is resolved once, here, so a call
+    reads its value straight from ``args`` or ``kwargs``; a parameter left
+    at its default is skipped like ``None``.  A call the signature rejects
+    still raises ``TypeError``: the function itself raises it when every
+    contract holds, and a violation binds the call before reporting.
     """
     parsed = {name: parse_shape_spec(spec) for name, spec in contracts.items()}
 
     def decorate(func):
         signature = inspect.signature(func)
+        params = list(signature.parameters.values())
         unknown = [name for name in parsed if name not in signature.parameters]
         if unknown:
             raise ValidationError(
                 f"@shapes on {func.__qualname__} names unknown parameter(s) "
                 f"{unknown}; parameters are {list(signature.parameters)}"
             )
+        variadic = [p.name for p in params if p.name in parsed
+                    and p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+        if variadic:
+            raise ValidationError(
+                f"@shapes on {func.__qualname__} names variadic parameter(s) "
+                f"{variadic}; contracts apply to single arrays"
+            )
+        # (name, index among the positional arguments or None for a
+        # keyword-only parameter, parsed tokens), in declaration order.
+        slots = []
+        for name, tokens in parsed.items():
+            param = signature.parameters[name]
+            position = (None if param.kind is param.KEYWORD_ONLY
+                        else params.index(param))
+            slots.append((name, position, tokens))
 
         @functools.wraps(func)
         def wrapper(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs)
             bindings: dict = {}
-            for name, tokens in parsed.items():
-                if name not in bound.arguments:
-                    continue
-                value = bound.arguments[name]
-                if value is None:
-                    continue
-                try:
-                    shape = np.shape(value)
-                except (TypeError, ValueError) as exc:
-                    raise ValidationError(
-                        f"{name} has no well-defined shape: {exc}"
-                    ) from exc
-                _match_shape(shape, tokens, name=name,
-                             spec=contracts[name], bindings=bindings)
+            try:
+                for name, position, tokens in slots:
+                    if position is not None and position < len(args):
+                        value = args[position]
+                    else:
+                        value = kwargs.get(name)
+                    if value is None:
+                        continue
+                    try:
+                        shape = np.shape(value)
+                    except (TypeError, ValueError) as exc:
+                        raise ValidationError(
+                            f"{name} has no well-defined shape: {exc}"
+                        ) from exc
+                    _match_shape(shape, tokens, name=name,
+                                 spec=contracts[name], bindings=bindings)
+            except ValidationError:
+                signature.bind(*args, **kwargs)
+                raise
             return func(*args, **kwargs)
 
         wrapper.__shape_contracts__ = dict(contracts)

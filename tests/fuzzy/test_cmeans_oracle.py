@@ -166,7 +166,7 @@ def test_centers_and_objective_match_naive(points, rng, m):
     u = membership_from_distances(squared_distances(points, centers), m)
     estimator = FuzzyCMeans(n_clusters=c, m=m)
     np.testing.assert_allclose(
-        estimator._centers(points, u), naive_centers(points, u, m), rtol=RTOL
+        estimator._centers(points, u**m), naive_centers(points, u, m), rtol=RTOL
     )
     np.testing.assert_allclose(
         estimator._objective(points, centers, u),

@@ -240,6 +240,47 @@ class TestShapesDecorator:
         with pytest.raises(ValidationError):
             f(x=np.zeros((2, 2)))
 
+    def test_keyword_only_contract(self):
+        @shapes(x="(n, d)", weights="(n,)")
+        def f(x, *, weights=None):
+            return x
+
+        f(np.zeros((4, 3)), weights=np.ones(4))
+        with pytest.raises(ValidationError, match="weights"):
+            f(np.zeros((4, 3)), weights=np.ones(5))
+        # A keyword-only parameter cannot be passed by position.
+        with pytest.raises(TypeError):
+            f(np.zeros((4, 3)), np.ones(4))
+
+    def test_parameter_left_at_default_is_skipped(self):
+        @shapes(x="(n, d)", scale="(d,)")
+        def f(x, scale=np.ones(7)):
+            return x
+
+        # The default violates the contract, but a default is never checked.
+        f(np.zeros((4, 3)))
+        f(np.zeros((4, 3)), np.ones(3))
+        with pytest.raises(ValidationError, match="scale"):
+            f(np.zeros((4, 3)), scale=np.ones(7))
+
+    def test_rejected_call_raises_type_error_before_contract(self):
+        @shapes(x="(n, d)")
+        def f(x, y=None):
+            return x
+
+        with pytest.raises(TypeError):
+            f(np.zeros(4), x=np.zeros((2, 2)))  # x given twice
+        with pytest.raises(TypeError):
+            f(np.zeros(4), 1, 2)  # too many positional arguments
+        with pytest.raises(TypeError):
+            f(np.zeros((2, 2)), ghost=1)
+
+    def test_variadic_parameter_rejected_at_decoration_time(self):
+        with pytest.raises(ValidationError, match="variadic"):
+            @shapes(arrays="(n,)")
+            def f(*arrays):
+                return arrays
+
     def test_unknown_parameter_rejected_at_decoration_time(self):
         with pytest.raises(ValidationError, match="unknown parameter"):
             @shapes(ghost="(n,)")
