@@ -5,7 +5,7 @@
 PY ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-strict selftest health bench-lint sweep-guard featurize-guard store-guard perfbench-tests perfbench-check perfbench-trace
+.PHONY: test lint lint-strict selftest health examples bench-lint sweep-guard featurize-guard store-guard perfbench-tests perfbench-check perfbench-trace
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/ -q
@@ -21,6 +21,10 @@ selftest:
 
 health:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m repro.cli health --clusters 4 --seed 0 --openmetrics-out health.om
+
+# Every example script; the first one that exits non-zero fails the target.
+examples:
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=$(PYTHONPATH) $(PY) $$f || exit 1; done
 
 bench-lint:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest benchmarks/test_lint_dataflow.py -q

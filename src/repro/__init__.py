@@ -31,8 +31,6 @@ from repro import obs
 from repro.baselines.dtw import DTWClassifier
 from repro.core.model import MotionClassifier, RetrievedNeighbor, RobustQueryResult
 from repro.core.signature import MotionSignature, motion_signature
-from repro.core.spotting import ActivityDetector, spot_and_classify
-from repro.data.stream import ContinuousStream, concatenate_records
 from repro.data.dataset import MotionDataset
 from repro.data.protocol import (
     StudyProtocol,
@@ -68,10 +66,6 @@ __all__ = [
     "__version__",
     "obs",
     "DTWClassifier",
-    "ActivityDetector",
-    "spot_and_classify",
-    "ContinuousStream",
-    "concatenate_records",
     "MotionClassifier",
     "RetrievedNeighbor",
     "MotionSignature",

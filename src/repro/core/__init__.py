@@ -9,23 +9,11 @@
 """
 
 from repro.core.signature import MotionSignature, motion_signature
-from repro.core.incremental import IncrementalMotionDatabase
 from repro.core.model import MotionClassifier, RetrievedNeighbor
-from repro.core.spotting import (
-    ActivityDetector,
-    DetectedMotion,
-    segment_matching_score,
-    spot_and_classify,
-)
 
 __all__ = [
     "MotionSignature",
     "motion_signature",
     "MotionClassifier",
     "RetrievedNeighbor",
-    "IncrementalMotionDatabase",
-    "ActivityDetector",
-    "DetectedMotion",
-    "segment_matching_score",
-    "spot_and_classify",
 ]

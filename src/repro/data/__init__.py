@@ -10,7 +10,6 @@ from repro.data.protocol import (
     build_dataset,
 )
 from repro.data.serialize import load_dataset, save_dataset
-from repro.data.stream import ContinuousStream, StreamAnnotation, concatenate_records
 from repro.data.population import SyntheticPopulation, synthesize_population
 
 __all__ = [
@@ -23,9 +22,6 @@ __all__ = [
     "build_dataset",
     "load_dataset",
     "save_dataset",
-    "ContinuousStream",
-    "StreamAnnotation",
-    "concatenate_records",
     "SyntheticPopulation",
     "synthesize_population",
 ]

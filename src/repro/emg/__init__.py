@@ -25,13 +25,6 @@ from repro.emg.artifacts import (
     CompositeArtifacts,
 )
 from repro.emg.myomonitor import Myomonitor
-from repro.emg.analysis import (
-    EMGBurst,
-    detect_onsets,
-    fatigue_trend,
-    mean_frequency,
-    median_frequency,
-)
 
 __all__ = [
     "Electrode",
@@ -47,9 +40,4 @@ __all__ = [
     "FatigueDrift",
     "CompositeArtifacts",
     "Myomonitor",
-    "EMGBurst",
-    "detect_onsets",
-    "fatigue_trend",
-    "mean_frequency",
-    "median_frequency",
 ]

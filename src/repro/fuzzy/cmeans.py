@@ -240,12 +240,6 @@ class FuzzyCMeans:
         denom = np.where(denom < _EPS, 1.0, denom)
         return (weights.T @ x) / denom[:, None]
 
-    def _objective(
-        self, x: np.ndarray, centers: np.ndarray, membership: np.ndarray
-    ) -> float:
-        d2 = squared_distances(x, centers)
-        return float(np.sum((membership**self.m) * d2))
-
 
 @shapes(d2="(n, c)")
 def membership_from_distances(d2: np.ndarray, m: float) -> np.ndarray:

@@ -17,13 +17,6 @@ from repro.mocap.markers import (
     marker_positions,
     reconstruct_joints,
 )
-from repro.mocap.analysis import (
-    joint_angle_series,
-    mean_speed,
-    path_length,
-    range_of_motion,
-    smoothness_sal,
-)
 
 __all__ = [
     "MotionCaptureData",
@@ -35,9 +28,4 @@ __all__ = [
     "default_marker_set",
     "marker_positions",
     "reconstruct_joints",
-    "joint_angle_series",
-    "mean_speed",
-    "path_length",
-    "range_of_motion",
-    "smoothness_sal",
 ]

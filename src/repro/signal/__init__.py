@@ -2,9 +2,8 @@
 
 This subpackage reimplements the small amount of classical signal processing
 the paper's acquisition chain needs — IIR Butterworth design via the bilinear
-transform, zero-phase filtering, anti-aliased decimation, full-wave
-rectification, Welch PSD estimation and linear-envelope extraction — without
-depending on scipy.
+transform, zero-phase filtering, anti-aliased decimation and full-wave
+rectification — without depending on scipy.
 
 Filters run as cascades of second-order sections over fixed blocks of
 samples: each block is a matrix product, and a Python loop only carries each
@@ -21,10 +20,8 @@ from repro.signal.filters import (
     butter_lowpass,
     filtfilt,
 )
-from repro.signal.envelope import linear_envelope, moving_average
 from repro.signal.rectify import full_wave_rectify
 from repro.signal.resample import decimate, downsample_to_rate
-from repro.signal.spectral import band_power, welch_psd
 
 __all__ = [
     "IIRFilter",
@@ -32,11 +29,7 @@ __all__ = [
     "butter_highpass",
     "butter_lowpass",
     "filtfilt",
-    "linear_envelope",
-    "moving_average",
     "full_wave_rectify",
     "decimate",
     "downsample_to_rate",
-    "band_power",
-    "welch_psd",
 ]

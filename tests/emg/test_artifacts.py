@@ -11,7 +11,7 @@ from repro.emg.artifacts import (
     default_artifacts,
 )
 from repro.signal.filters import butter_bandpass
-from repro.signal.spectral import band_power
+from tests.spectrum import band_power
 
 FS = 1000.0
 

@@ -7,7 +7,7 @@ from repro.emg.channels import hand_montage, leg_montage
 from repro.emg.myomonitor import Myomonitor
 from repro.emg.synthesis import SurfaceEMGSynthesizer
 from repro.errors import AcquisitionError
-from repro.signal.spectral import band_power
+from tests.spectrum import band_power
 
 
 @pytest.fixture

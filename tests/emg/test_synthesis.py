@@ -5,8 +5,9 @@ import pytest
 
 from repro.emg.synthesis import SurfaceEMGSynthesizer
 from repro.errors import SignalError
-from repro.signal.envelope import linear_envelope
-from repro.signal.spectral import band_power
+from repro.signal.filters import butter_lowpass
+from repro.signal.rectify import full_wave_rectify
+from tests.spectrum import band_power
 
 
 def clean_synth(**kw):
@@ -57,7 +58,8 @@ class TestSynthesize:
         t = np.linspace(0, 1, 360)
         env = 0.5 * (1 + np.sin(2 * np.pi * 0.8 * t))
         out = synth.synthesize(env, 120.0, seed=2)
-        recovered = linear_envelope(out, 1000.0, cutoff_hz=3.0)
+        lowpass = butter_lowpass(3.0, 1000.0, order=4)
+        recovered = np.maximum(lowpass.apply_zero_phase(full_wave_rectify(out)), 0.0)
         t_cmd = np.arange(len(out)) / 1000.0
         cmd = np.interp(t_cmd, np.arange(len(env)) / 120.0, env)
         rho = np.corrcoef(recovered[300:-300], cmd[300:-300])[0, 1]

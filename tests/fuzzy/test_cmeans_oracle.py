@@ -160,18 +160,13 @@ def test_membership_degenerate_rows_match_naive(points, rng, m):
 
 
 @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
-def test_centers_and_objective_match_naive(points, rng, m):
+def test_centers_match_naive(points, rng, m):
     c = 5
     centers = rng.normal(size=(c, points.shape[1]))
     u = membership_from_distances(squared_distances(points, centers), m)
     estimator = FuzzyCMeans(n_clusters=c, m=m)
     np.testing.assert_allclose(
         estimator._centers(points, u**m), naive_centers(points, u, m), rtol=RTOL
-    )
-    np.testing.assert_allclose(
-        estimator._objective(points, centers, u),
-        naive_objective(points, centers, u, m),
-        rtol=RTOL,
     )
 
 

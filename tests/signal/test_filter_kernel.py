@@ -23,14 +23,15 @@ from tests.signal import iir_oracle
 FS = 1000.0
 RTOL = 1e-8
 
-#: Every filter the library designs, at the settings its callers use, and
-#: scipy's 60 Hz notch: a biquad with its zeros on the unit circle.
+#: Every filter the library designs, at the settings its callers use, a
+#: 6 Hz low-pass and scipy's 60 Hz notch: a biquad with its zeros on the
+#: unit circle.
 FILTERS = {
     # Myomonitor.condition -> downsample_to_rate(1000 Hz -> 120 Hz) anti-alias.
     "condition-lowpass": butter_lowpass(0.8 * 120.0 / 2.0, FS, order=8),
     # Myomonitor.acquire and the EMG carrier synthesizer.
     "acquire-bandpass": butter_bandpass(20.0, 450.0, FS, order=4),
-    # linear_envelope's default smoothing.
+    # A classic EMG envelope smoothing, and the kernel's worst-agreeing filter.
     "envelope-lowpass": butter_lowpass(6.0, FS, order=4),
     # decimate(x, 4, fs=1000) anti-alias filter.
     "decimate-lowpass": butter_lowpass(0.8 * (FS / 4) / 2.0, FS, order=8),
