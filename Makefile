@@ -35,6 +35,7 @@ sweep-guard:
 featurize-guard:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/features \
 		tests/properties/test_eq3_band_properties.py \
+		tests/properties/test_padded_window_properties.py \
 		benchmarks/test_batched_featurize.py -q
 
 store-guard:

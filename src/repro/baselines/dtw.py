@@ -182,11 +182,6 @@ class DTWClassifier:
         self._keys = [rec.key for rec in database]
         return self
 
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has completed."""
-        return self._mean is not None
-
     def _prepare_query(self, record: RecordedMotion) -> np.ndarray:
         if self._mean is None or self._std is None:
             raise NotFittedError("DTWClassifier used before fit")

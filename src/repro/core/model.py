@@ -256,11 +256,6 @@ class MotionClassifier:
         return self
 
     @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has completed."""
-        return self._centers is not None
-
-    @property
     def centers(self) -> np.ndarray:
         """The fitted cluster centers in the scaled combined space."""
         if self._centers is None:

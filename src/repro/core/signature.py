@@ -113,13 +113,13 @@ def motion_signature(membership: np.ndarray, n_clusters: int | None = None) -> M
     with span("signature.build", n_windows=u.shape[0], n_clusters=c):
         highest = u.max(axis=1)  # Eq. 5
         winners = u.argmax(axis=1)  # Eq. 6
-        minima = np.zeros(c)
-        maxima = np.zeros(c)
-        for cluster in range(c):
-            won = highest[winners == cluster]
-            if won.size:
-                minima[cluster] = won.min()  # Eq. 8
-                maxima[cluster] = won.max()  # Eq. 7
+        minima = np.full(c, np.inf)
+        maxima = np.full(c, -np.inf)
+        np.minimum.at(minima, winners, highest)  # Eq. 8
+        np.maximum.at(maxima, winners, highest)  # Eq. 7
+        unused = np.isinf(minima)
+        minima[unused] = 0.0
+        maxima[unused] = 0.0
         return MotionSignature(
             minima=minima,
             maxima=maxima,

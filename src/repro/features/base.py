@@ -9,7 +9,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import FeatureError
-from repro.utils.validation import check_array
+from repro.features.batched import check_window_lengths
+from repro.utils.validation import check_array, shapes
 
 __all__ = ["EMGFeatureExtractor", "MocapFeatureExtractor", "WindowFeatures"]
 
@@ -29,17 +30,20 @@ class EMGFeatureExtractor(abc.ABC):
     def extract(self, window: np.ndarray) -> np.ndarray:
         """Feature vector for one ``(w, n_channels)`` window."""
 
-    def extract_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Feature vectors for a ``(batch, w, n_channels)`` window stack.
+    @shapes(windows="(b, w, c)", lengths="(b,)")
+    def extract_batch(self, windows: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
+        """Feature vectors for a zero-padded ``(batch, w, n_channels)`` stack.
 
-        The default loops :meth:`extract` per window, so every extractor is
-        batch-callable; extractors with a vectorized kernel (IAV, MAV,
-        waveform length, zero crossings — see :mod:`repro.features.batched`)
-        override this with the hot-path implementation.
+        Window ``i`` holds ``lengths[i]`` true rows, then zeros.  The
+        default loops :meth:`extract` over each window's true rows;
+        extractors with a vectorized kernel (IAV, MAV, waveform length,
+        zero crossings — see :mod:`repro.features.batched`) override it.
         """
         windows = check_array(windows, name="windows", ndim=3, dtype=None,
                               allow_empty=False)
-        return np.stack([self.extract(windows[i])
+        lengths = check_window_lengths(lengths, windows.shape[1])
+        return np.stack([self.extract(windows[i, :lengths[i]])
                          for i in range(windows.shape[0])])
 
     def feature_names(self, channels: Sequence[str]) -> List[str]:
@@ -98,15 +102,19 @@ class MocapFeatureExtractor(abc.ABC):
         ]
         return np.concatenate(parts)
 
-    def extract_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Features for a ``(batch, w, 3k)`` stack of multi-joint windows.
+    @shapes(windows="(b, w, c)", lengths="(b,)")
+    def extract_batch(self, windows: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
+        """Features for a zero-padded ``(batch, w, 3k)`` multi-joint stack.
 
-        The default loops :meth:`extract` per window; extractors with a
-        stacked kernel (weighted SVD) override this with the hot path.
+        Window ``i`` holds ``lengths[i]`` true rows, then zeros.  The
+        default loops :meth:`extract` over each window's true rows; the
+        weighted SVD overrides it with a stacked kernel.
         """
         windows = check_array(windows, name="windows", ndim=3, dtype=None,
                               allow_empty=False)
-        return np.stack([self.extract(windows[i])
+        lengths = check_window_lengths(lengths, windows.shape[1])
+        return np.stack([self.extract(windows[i, :lengths[i]])
                          for i in range(windows.shape[0])])
 
     def feature_names(self, segments: Sequence[str]) -> List[str]:

@@ -27,9 +27,25 @@ Every kernel computes in float64, whatever the input dtype, and is
 the projection and its column-norm reduction, the weighted combination —
 computes each joint matrix on its own, with the same routine whatever the
 stack around it, so a batch of one gives the same bits as a row of a large
-batch.  The EMG axis reductions share numpy's pairwise-summation tree for
-a fixed window length.  ``tests/features/test_batched_equivalence.py`` is
-the differential harness pinning this.
+batch.  The EMG axis reductions share numpy's summation order for a fixed
+window length.  ``tests/features/test_batched_equivalence.py`` is the
+differential harness pinning this.
+
+Zero-padded stacks
+------------------
+:class:`~repro.features.combine.WindowFeaturizer` passes a record's windows
+as one stack: a short tail is padded with zero rows, and ``lengths[i]`` is
+window ``i``'s true row count.  Zero rows add ``+0.0`` to Eq. 1's sums, to
+``XᵀX`` and to ``‖X vᵢ‖``, each of which adds a window's rows one after
+another, so they change nothing, with two exceptions that
+``tests/properties/test_padded_window_properties.py`` pins.  numpy sums a
+lone column pairwise, in a tree that depends on the row count, so a
+one-channel stack sums each short window over its own rows.  numpy projects
+a one-row matrix with a matrix-vector BLAS call, which rounds differently
+from the matrix-matrix call of a taller window, so
+:func:`stacked_weighted_svd` gives a one-row stack a zero second row.  MAV
+divides by ``lengths``; waveform length and zero crossings mask the steps
+into the padding.
 
 Eq. 3 is not bit-identical to a LAPACK SVD of the window; it stays inside
 the band derived in :func:`stacked_weighted_svd`, which
@@ -41,7 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import FeatureError
+from repro.errors import FeatureError, ValidationError
 from repro.utils.validation import check_array, shapes
 
 __all__ = [
@@ -49,6 +65,7 @@ __all__ = [
     "batched_mav",
     "batched_waveform_length",
     "batched_zero_crossings",
+    "check_window_lengths",
     "stabilize_signs_batched",
     "stacked_weighted_svd",
 ]
@@ -136,6 +153,9 @@ def stacked_weighted_svd(windows: np.ndarray) -> np.ndarray:
         raise FeatureError(
             f"multi-joint windows must have 3 columns per joint, got {cols}"
         )
+    if w == 1:  # take the matrix-matrix route (see the module docstring)
+        windows = np.concatenate([windows, np.zeros_like(windows)], axis=1)
+        w = 2
     k = cols // 3
     # (batch, w, k, 3) -> (batch, k, w, 3) -> (batch * k, w, 3)
     joints = np.ascontiguousarray(
@@ -168,33 +188,61 @@ def stacked_weighted_svd(windows: np.ndarray) -> np.ndarray:
     return features.reshape(batch, 3 * k)
 
 
-@shapes(windows="(b, w, c)")
-def batched_iav(windows: np.ndarray) -> np.ndarray:
-    """Eq. 1 IAV per channel for a ``(batch, w, n_channels)`` stack."""
+@shapes(lengths="(b,)")
+def check_window_lengths(lengths: np.ndarray, window: int) -> np.ndarray:
+    """A padded stack's true row counts, as integers in ``[1, window]``."""
+    lengths = np.asarray(lengths)
+    if lengths.dtype.kind not in "iu" or not np.all(
+            (lengths >= 1) & (lengths <= window)):
+        raise ValidationError(
+            f"window lengths must be integers in [1, {window}]")
+    return lengths
+
+
+def _window_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per-window column sums of a zero-padded ``(b, w, c)`` stack."""
+    sums = values.sum(axis=1)
+    if values.shape[2] == 1:
+        for i in np.flatnonzero(lengths < values.shape[1]):
+            sums[i] = values[i, :lengths[i]].sum(axis=0)
+    return sums
+
+
+@shapes(windows="(b, w, c)", lengths="(b,)")
+def batched_iav(windows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Eq. 1 IAV per channel for a zero-padded ``(batch, w, n_channels)`` stack."""
     windows = check_array(windows, name="windows", ndim=3, allow_empty=False)
-    return np.sum(np.abs(windows), axis=1)
+    lengths = check_window_lengths(lengths, windows.shape[1])
+    return _window_sums(np.abs(windows), lengths)
 
 
-@shapes(windows="(b, w, c)")
-def batched_mav(windows: np.ndarray) -> np.ndarray:
-    """Mean absolute value per channel for a stack of windows."""
+@shapes(windows="(b, w, c)", lengths="(b,)")
+def batched_mav(windows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mean absolute value per channel: the IAV sum over each true length."""
     windows = check_array(windows, name="windows", ndim=3, allow_empty=False)
-    return np.mean(np.abs(windows), axis=1)
+    lengths = check_window_lengths(lengths, windows.shape[1])
+    return _window_sums(np.abs(windows), lengths) / lengths[:, None]
 
 
-@shapes(windows="(b, w, c)")
-def batched_waveform_length(windows: np.ndarray) -> np.ndarray:
+def _inside_steps(lengths: np.ndarray, w: int) -> np.ndarray:
+    """``(b, w - 1)`` mask of the row-to-row steps inside each true window."""
+    return np.arange(w - 1) < (lengths - 1)[:, None]
+
+
+@shapes(windows="(b, w, c)", lengths="(b,)")
+def batched_waveform_length(windows: np.ndarray,
+                            lengths: np.ndarray) -> np.ndarray:
     """Waveform length (total variation) per channel for a stack of windows."""
     windows = check_array(windows, name="windows", ndim=3, allow_empty=False)
-    if windows.shape[1] < 2:
-        return np.zeros((windows.shape[0], windows.shape[2]),
-                        dtype=windows.dtype)
-    return np.sum(np.abs(np.diff(windows, axis=1)), axis=1)
+    lengths = check_window_lengths(lengths, windows.shape[1])
+    steps = np.abs(np.diff(windows, axis=1))
+    steps[~_inside_steps(lengths, windows.shape[1])] = 0.0
+    return _window_sums(steps, lengths - 1)
 
 
-@shapes(windows="(b, w, c)")
+@shapes(windows="(b, w, c)", lengths="(b,)")
 def batched_zero_crossings(
-    windows: np.ndarray, threshold: float = 0.0
+    windows: np.ndarray, lengths: np.ndarray, threshold: float = 0.0
 ) -> np.ndarray:
     """Thresholded zero-crossing counts per channel for a stack of windows.
 
@@ -203,10 +251,10 @@ def batched_zero_crossings(
     consecutive samples change sign with a difference above ``threshold``.
     """
     windows = check_array(windows, name="windows", ndim=3, allow_empty=False)
-    centred = windows - windows.mean(axis=1, keepdims=True)
-    if centred.shape[1] < 2:
-        return np.zeros((windows.shape[0], windows.shape[2]),
-                        dtype=windows.dtype)
+    lengths = check_window_lengths(lengths, windows.shape[1])
+    means = _window_sums(windows, lengths) / lengths[:, None]
+    centred = windows - means[:, None, :]
     sign_change = np.signbit(centred[:, :-1]) != np.signbit(centred[:, 1:])
     big_enough = np.abs(centred[:, :-1] - centred[:, 1:]) > threshold
-    return (sign_change & big_enough).sum(axis=1).astype(windows.dtype)
+    inside = _inside_steps(lengths, windows.shape[1])[..., None]
+    return (sign_change & big_enough & inside).sum(axis=1).astype(windows.dtype)

@@ -10,14 +10,14 @@ m-length EMG feature vector ... and n-length motion capture feature vector
 two synchronized streams into the *same* windows and emits one combined
 vector per window, EMG dimensions first.
 
-Each stream is cut into stacked equal-length window batches
-(:func:`repro.utils.windows.window_batches` — one zero-copy strided batch for
-the full windows plus small tail batches for the ragged remainder) and
-featurized through the extractors' ``extract_batch`` kernels
-(:mod:`repro.features.batched`), so the whole record needs a handful of numpy
-calls instead of a Python loop per window per joint.  The per-window loop it
-replaced is kept as the test oracle in ``tests/features/scalar_oracle.py``,
-which this path matches bit for bit.
+Window ``i`` starts at frame ``i * stride``, so once a stream is
+zero-padded to ``starts[-1] + window`` frames (only a short last window
+needs that), one strided view holds every window, ragged tails included.
+Each modality's extractor featurizes it in one ``extract_batch(view,
+lengths)`` call (kernels in :mod:`repro.features.batched`); ``lengths``
+holds each window's true frame count, and the zero rows past it change no
+feature.  The per-window loop this replaced is kept as the test oracle in
+``tests/features/scalar_oracle.py``, which this path matches bit for bit.
 """
 
 from __future__ import annotations
@@ -37,9 +37,18 @@ from repro.features.iav import IAVExtractor
 from repro.features.svd import WeightedSVDExtractor
 from repro.obs.config import span
 from repro.utils.validation import check_in_range
-from repro.utils.windows import window_batches, window_bounds, window_size_frames
+from repro.utils.windows import sliding_window_view_2d, window_bounds, window_size_frames
 
 __all__ = ["WindowFeaturizer"]
+
+
+def _zero_padded(data: np.ndarray, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of ``data``, zero-padded if it is shorter."""
+    if data.shape[0] >= rows:
+        return data[:rows]
+    padded = np.zeros((rows, data.shape[1]))
+    padded[:data.shape[0]] = data
+    return padded
 
 
 class WindowFeaturizer:
@@ -166,8 +175,8 @@ class WindowFeaturizer:
     def features(self, record: RecordedMotion) -> WindowFeatures:
         """Combined feature matrix for every window of ``record``.
 
-        Both streams are cast to float64 once and cut with identical frame
-        bounds; the EMG block is appended first, then the mocap block,
+        Each enabled stream is cast to float64 once and cut with identical
+        frame bounds; the EMG block is appended first, then the mocap block,
         matching the paper's (m+n) layout.
         """
         with span("features.extract", key=record.key) as sp:
@@ -179,37 +188,27 @@ class WindowFeaturizer:
                 bounds = window_bounds(record.n_frames, window, stride)
             if not bounds:
                 raise self._no_windows_error(record, window, stride)
-            emg_data = np.asarray(record.emg.data_volts, dtype=np.float64)
-            mocap_data = np.asarray(record.mocap.matrix_mm, dtype=np.float64)
-            streams = ([emg_data] if self.use_emg else []) + (
-                [mocap_data] if self.use_mocap else [])
+            pairs = []
+            if self.use_emg:
+                pairs.append((self.emg_extractor, np.asarray(
+                    record.emg.data_volts, dtype=np.float64)))
+            if self.use_mocap:
+                pairs.append((self.mocap_extractor, np.asarray(
+                    record.mocap.matrix_mm, dtype=np.float64)))
+            rows = bounds[-1][0] + window
+            lengths = np.fromiter((stop - start for start, stop in bounds),
+                                  dtype=np.int64, count=len(bounds))
             with span("features.batched.stack", n_windows=len(bounds)):
-                emg_batches = (window_batches(emg_data, bounds, window, stride)
-                               if self.use_emg else None)
-                mocap_batches = (window_batches(mocap_data, bounds, window,
-                                                stride)
-                                 if self.use_mocap else None)
-            groups = emg_batches if emg_batches is not None else mocap_batches
-            matrix: Optional[np.ndarray] = None
-            for g, (first, _) in enumerate(groups):
-                try:
-                    parts = []
-                    if self.use_emg:
-                        parts.append(
-                            self.emg_extractor.extract_batch(emg_batches[g][1])
-                        )
-                    if self.use_mocap:
-                        parts.append(
-                            self.mocap_extractor.extract_batch(
-                                mocap_batches[g][1])
-                        )
-                except ValidationError as exc:
-                    self._raise_located(record, bounds, streams, exc)
-                block = np.concatenate(parts, axis=1)
-                if matrix is None:
-                    matrix = np.empty((len(bounds), block.shape[1]),
-                                      dtype=block.dtype)
-                matrix[first:first + block.shape[0]] = block
+                views = [(extractor, sliding_window_view_2d(
+                    _zero_padded(data, rows), window, stride))
+                    for extractor, data in pairs]
+            try:
+                parts = [extractor.extract_batch(view, lengths)
+                         for extractor, view in views]
+            except ValidationError as exc:
+                self._raise_located(record, bounds,
+                                    [data for _, data in pairs], exc)
+            matrix = np.concatenate(parts, axis=1)
             sp.set(n_windows=matrix.shape[0], n_dims=matrix.shape[1])
             return WindowFeatures(
                 matrix=matrix,

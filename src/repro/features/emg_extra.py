@@ -62,10 +62,12 @@ class ZeroCrossingExtractor(EMGFeatureExtractor):
             out[c] = float(np.count_nonzero(sign_change & big_enough))
         return out
 
-    @shapes(windows="(b, w, c)")
-    def extract_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Vectorized zero-crossing counts for a stack of windows."""
-        return batched_zero_crossings(windows, threshold=self.threshold)
+    @shapes(windows="(b, w, c)", lengths="(b,)")
+    def extract_batch(self, windows: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
+        """Vectorized zero-crossing counts for a zero-padded stack."""
+        return batched_zero_crossings(windows, lengths,
+                                      threshold=self.threshold)
 
     def feature_names(self, channels: Sequence[str]) -> List[str]:
         return [f"zc:{c}" for c in channels]
@@ -175,10 +177,11 @@ class MeanAbsoluteValueExtractor(EMGFeatureExtractor):
         window = self._validated(window)
         return np.mean(np.abs(window), axis=0)
 
-    @shapes(windows="(b, w, c)")
-    def extract_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Vectorized MAV for a stack of windows."""
-        return batched_mav(windows)
+    @shapes(windows="(b, w, c)", lengths="(b,)")
+    def extract_batch(self, windows: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
+        """Vectorized MAV for a zero-padded stack of windows."""
+        return batched_mav(windows, lengths)
 
     def feature_names(self, channels: Sequence[str]) -> List[str]:
         return [f"mav:{c}" for c in channels]
@@ -195,10 +198,11 @@ class WaveformLengthExtractor(EMGFeatureExtractor):
             return np.zeros(window.shape[1], dtype=window.dtype)
         return np.sum(np.abs(np.diff(window, axis=0)), axis=0)
 
-    @shapes(windows="(b, w, c)")
-    def extract_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Vectorized waveform length for a stack of windows."""
-        return batched_waveform_length(windows)
+    @shapes(windows="(b, w, c)", lengths="(b,)")
+    def extract_batch(self, windows: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
+        """Vectorized waveform length for a zero-padded stack of windows."""
+        return batched_waveform_length(windows, lengths)
 
     def feature_names(self, channels: Sequence[str]) -> List[str]:
         return [f"wl:{c}" for c in channels]

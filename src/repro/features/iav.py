@@ -46,12 +46,13 @@ class IAVExtractor(EMGFeatureExtractor):
         with span("features.iav"):
             return integral_absolute_value(self._validated(window))
 
-    @shapes(windows="(b, w, c)")
-    def extract_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Vectorized IAV for a ``(batch, w, n_channels)`` window stack."""
+    @shapes(windows="(b, w, c)", lengths="(b,)")
+    def extract_batch(self, windows: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
+        """Vectorized IAV for a zero-padded ``(batch, w, n_channels)`` stack."""
         with span("features.iav"):
             with span("features.batched.emg", n_windows=len(windows)):
-                return batched_iav(windows)
+                return batched_iav(windows, lengths)
 
     def feature_names(self, channels: Sequence[str]) -> List[str]:
         """``iav:<channel>`` per channel."""

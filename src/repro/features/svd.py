@@ -98,13 +98,15 @@ class WeightedSVDExtractor(MocapFeatureExtractor):
         """Eq. 3 feature for one joint window."""
         return weighted_svd_feature(window)
 
-    @shapes(windows="(b, w, d)")
-    def extract_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Stacked Eq. 3 features for a ``(batch, w, 3k)`` window stack.
+    @shapes(windows="(b, w, d)", lengths="(b,)")
+    def extract_batch(self, windows: np.ndarray,
+                      lengths: np.ndarray) -> np.ndarray:
+        """Stacked Eq. 3 features for a zero-padded ``(batch, w, 3k)`` stack.
 
         One stacked ``numpy.linalg.eigh`` call over all ``batch * k`` joint
-        Gram matrices; bit-identical to looping :meth:`extract` (the
-        differential harness pins this).
+        Gram matrices; bit-identical to looping :meth:`extract` over each
+        window's true rows (the differential harness pins this).  Zero rows
+        add nothing to ``XᵀX`` or ``‖X vᵢ‖``, so ``lengths`` is not read.
         """
         with span("features.svd"):
             with span("features.batched.svd", n_windows=len(windows)):

@@ -51,7 +51,7 @@ __all__ = [
 #: Version of the featurization code the cache contents assume.  Bump on any
 #: change that can alter feature values (windowing arithmetic, IAV/SVD
 #: kernels, sign stabilization, combined-vector layout ...).
-FEATURE_CACHE_VERSION = 2
+FEATURE_CACHE_VERSION = 3
 
 
 def hash_stream(hasher, array: np.ndarray) -> None:
@@ -173,7 +173,7 @@ class FeatureCache:
                     names = [str(n) for n in payload["names"]]
                 features = WindowFeatures(
                     matrix=matrix,
-                    bounds=tuple((int(a), int(b)) for a, b in bounds),
+                    bounds=tuple(map(tuple, bounds.tolist())),
                     names=tuple(names),
                 )
             except Exception:

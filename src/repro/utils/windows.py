@@ -18,7 +18,7 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "window_bounds",
     "iter_windows",
     "sliding_window_view_2d",
-    "window_batches",
     "window_size_frames",
 ]
 
@@ -143,9 +142,11 @@ def iter_windows(
 def sliding_window_view_2d(data: np.ndarray, window: int, stride: int) -> np.ndarray:
     """Strided view of shape ``(n_windows, window, n_cols)`` over a 2-D array.
 
-    Only full windows are included (no ragged trailing window); use
-    :func:`iter_windows` when partial trailing windows matter.  The result is
-    a read-only view — no data is copied.
+    Only full windows are included (no ragged trailing window).  When
+    partial trailing windows matter, use :func:`iter_windows`, or zero-pad
+    ``data`` to the last window's start plus ``window`` rows, as
+    :meth:`repro.features.combine.WindowFeaturizer.features` does.  The
+    result is a read-only view — no data is copied.
     """
     data = np.asarray(data)
     if data.ndim != 2:
@@ -159,62 +160,3 @@ def sliding_window_view_2d(data: np.ndarray, window: int, stride: int) -> np.nda
     view = np.lib.stride_tricks.sliding_window_view(data, (window, data.shape[1]))
     view = view[::stride, 0][:count]
     return view
-
-
-@shapes(data="(n, d)")
-def window_batches(
-    data: np.ndarray,
-    bounds: Sequence[Tuple[int, int]],
-    window: int,
-    stride: Optional[int] = None,
-) -> list[Tuple[int, np.ndarray]]:
-    """Group the windows of ``data`` into equal-length stacked batches.
-
-    ``bounds`` must be the ranges :func:`window_bounds` produced for
-    ``data.shape[0]`` with the same ``window``/``stride``; the full-length
-    windows (always a prefix of ``bounds``) become one zero-copy strided
-    batch via :func:`sliding_window_view_2d`, and the ragged trailing
-    windows — the paper's ceiling-division remainder, of which an
-    overlapping stride can produce several — are grouped by length into
-    small materialized tail batches.
-
-    Returns
-    -------
-    list of (first_index, batch)
-        ``batch`` has shape ``(b, length, n_cols)`` and stacks the windows
-        at positions ``first_index .. first_index + b - 1`` of ``bounds``.
-        Concatenating the batches in order covers every window exactly
-        once, in bounds order.
-    """
-    data = np.asarray(data)
-    window = check_positive_int(window, name="window")
-    if stride is None:
-        stride = window
-    stride = check_positive_int(stride, name="stride")
-    bounds = list(bounds)
-    if not bounds:
-        return []
-    n_full = 0
-    while n_full < len(bounds) and bounds[n_full][1] - bounds[n_full][0] == window:
-        n_full += 1
-    batches: list[Tuple[int, np.ndarray]] = []
-    if n_full:
-        view = sliding_window_view_2d(data, window, stride)[:n_full]
-        if view.shape[0] != n_full:
-            raise ValidationError(
-                f"bounds disagree with the strided view: {n_full} full "
-                f"windows but the view holds {view.shape[0]}"
-            )
-        batches.append((0, view))
-    i = n_full
-    while i < len(bounds):
-        length = bounds[i][1] - bounds[i][0]
-        j = i
-        while j < len(bounds) and bounds[j][1] - bounds[j][0] == length:
-            j += 1
-        batches.append((
-            i,
-            np.stack([data[a:b] for a, b in bounds[i:j]]),
-        ))
-        i = j
-    return batches

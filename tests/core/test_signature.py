@@ -72,12 +72,28 @@ class TestMotionSignature:
         n_windows=st.integers(1, 40),
         c=st.integers(2, 10),
         seed=st.integers(0, 1000),
+        n_tied=st.integers(0, 5),
     )
     @settings(max_examples=100)
-    def test_invariants_on_random_memberships(self, n_windows, c, seed):
+    def test_invariants_on_random_memberships(self, n_windows, c, seed, n_tied):
         rng = np.random.default_rng(seed)
-        u = normalize(rng.uniform(0.01, 1.0, size=(n_windows, c)))
+        u = rng.uniform(0.01, 1.0, size=(n_windows, c))
+        # Tie the two largest memberships of some rows; Eq. 6's argmax
+        # takes the first of them.
+        for row in rng.choice(n_windows, size=min(n_tied, n_windows),
+                              replace=False):
+            u[row, np.argsort(u[row])[-2:]] = u[row].max()
+        u = normalize(u)
         sig = motion_signature(u)
+        # Eqs. 7-8 as a per-cluster loop over the windows each cluster won.
+        highest, winners = u.max(axis=1), u.argmax(axis=1)
+        want = np.zeros((2, c))
+        for cluster in range(c):
+            won = highest[winners == cluster]
+            if won.size:
+                want[:, cluster] = won.min(), won.max()
+        assert np.stack([sig.minima, sig.maxima]).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(sig.window_clusters, winners)
         assert sig.n_clusters == c
         assert np.all(sig.minima <= sig.maxima)
         assert np.all((sig.minima >= 0) & (sig.maxima <= 1))

@@ -6,9 +6,10 @@ loop in ``tests/features/scalar_oracle.py`` — same LAPACK calls, same
 ``matmul`` contraction, same pairwise summation tree.
 
 Coverage: every extractor with a vectorized kernel, window sizes including
-``w < 3`` and ragged tails, overlapping strides and several joint counts;
-hypothesis properties for the stacked sign-stabilization rule and for
-strided-view / ``iter_windows`` boundary agreement.
+``w < 3`` and ragged tails, overlapping strides and several joint counts,
+and hypothesis properties for the stacked sign-stabilization rule.  The
+zero-padded stacks the featurizer cuts are covered by
+``tests/properties/test_padded_window_properties.py``.
 """
 
 import numpy as np
@@ -17,17 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.errors import ValidationError
 from repro.features.base import WindowFeatures
 from repro.features.batched import stabilize_signs_batched
 from repro.features.combine import WindowFeaturizer
 from repro.features.emg_extra import (
     MeanAbsoluteValueExtractor,
+    RMSExtractor,
     WaveformLengthExtractor,
     ZeroCrossingExtractor,
 )
 from repro.features.iav import IAVExtractor
+from repro.features.pca import PCAJointExtractor
 from repro.features.svd import WeightedSVDExtractor, stabilize_signs
-from repro.utils.windows import iter_windows, window_batches, window_bounds
 from tests.factories import synthetic_record
 from tests.features.scalar_oracle import scalar_features
 
@@ -48,6 +51,11 @@ def _oracle_stack(extractor, windows):
                      for i in range(windows.shape[0])])
 
 
+def _full(windows):
+    """``lengths`` for a stack whose windows are all full."""
+    return np.full(windows.shape[0], windows.shape[1])
+
+
 class TestEMGKernelEquivalence:
     """Vectorized EMG kernels vs. per-window scalar extraction."""
 
@@ -57,7 +65,7 @@ class TestEMGKernelEquivalence:
     @pytest.mark.parametrize("n_channels", [1, 4])
     def test_float64_bit_identical(self, rng, extractor, w, n_channels):
         windows = rng.normal(size=(7, w, n_channels))
-        got = extractor.extract_batch(windows)
+        got = extractor.extract_batch(windows, _full(windows))
         want = _oracle_stack(extractor, windows)
         np.testing.assert_array_equal(got, want)
         assert got.dtype == np.float64
@@ -67,7 +75,7 @@ class TestEMGKernelEquivalence:
         windows = np.abs(rng.normal(size=(5, 12, 4)))
         for extractor in EMG_EXTRACTORS:
             np.testing.assert_array_equal(
-                extractor.extract_batch(windows),
+                extractor.extract_batch(windows, _full(windows)),
                 _oracle_stack(extractor, windows),
             )
 
@@ -80,7 +88,7 @@ class TestSVDKernelEquivalence:
     def test_float64_bit_identical(self, rng, w, k):
         extractor = WeightedSVDExtractor()
         windows = rng.normal(size=(6, w, 3 * k)) * 40
-        got = extractor.extract_batch(windows)
+        got = extractor.extract_batch(windows, _full(windows))
         want = _oracle_stack(extractor, windows)
         np.testing.assert_array_equal(got, want)
         assert got.dtype == np.float64
@@ -91,7 +99,7 @@ class TestSVDKernelEquivalence:
         windows = rng.normal(size=(4, 10, 6))
         windows[1] = 0.0            # whole window degenerate
         windows[2, :, 3:] = 0.0     # one joint degenerate
-        got = extractor.extract_batch(windows)
+        got = extractor.extract_batch(windows, _full(windows))
         want = _oracle_stack(extractor, windows)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got[1], 0.0)
@@ -103,13 +111,24 @@ def test_float32_input_is_computed_in_float64(rng):
     """Kernels and the feature bundle cast any input dtype to float64."""
     windows = (rng.normal(size=(6, 12, 6)) * 40).astype(np.float32)
     for extractor in EMG_EXTRACTORS + [WeightedSVDExtractor()]:
-        got = extractor.extract_batch(windows)
+        got = extractor.extract_batch(windows, _full(windows))
         assert got.dtype == np.float64
         np.testing.assert_array_equal(
-            got, extractor.extract_batch(windows.astype(np.float64)))
+            got, extractor.extract_batch(windows.astype(np.float64),
+                                         _full(windows)))
     bundle = WindowFeatures(matrix=windows[0], bounds=[(0, 1)] * 12,
                             names=[str(i) for i in range(6)])
     assert bundle.matrix.dtype == np.float64
+
+
+@pytest.mark.parametrize("lengths", [[0, 3], [3, 4], [2.0, 3.0]],
+                         ids=["zero", "past-the-stack", "float"])
+def test_window_lengths_outside_the_stack_are_rejected(lengths):
+    """A kernel and the per-window default both validate ``lengths``."""
+    windows = np.ones((2, 3, 3))
+    for extractor in [IAVExtractor(), RMSExtractor(), PCAJointExtractor()]:
+        with pytest.raises(ValidationError, match="window lengths"):
+            extractor.extract_batch(windows, np.asarray(lengths))
 
 
 class TestFeaturizerEquivalence:
@@ -183,46 +202,3 @@ class TestStackedSignStabilizationProperties:
     def test_idempotent(self, vt):
         once = stabilize_signs_batched(vt)
         np.testing.assert_array_equal(stabilize_signs_batched(once), once)
-
-
-class TestWindowBatchBoundaries:
-    """window_batches vs. iter_windows / window_bounds boundary agreement."""
-
-    @given(n=st.integers(1, 200), window=st.integers(1, 30),
-           stride=st.integers(1, 30))
-    @settings(max_examples=150)
-    def test_batches_cover_iter_windows_exactly(self, n, window, stride):
-        data = np.arange(n * 3, dtype=float).reshape(n, 3)
-        bounds = window_bounds(n, window, stride)
-        batches = window_batches(data, bounds, window, stride)
-        rebuilt = [w for _, batch in batches for w in batch]
-        expected = list(iter_windows(data, window, stride))
-        assert len(rebuilt) == len(expected) == len(bounds)
-        for got, want in zip(rebuilt, expected):
-            np.testing.assert_array_equal(got, want)
-
-    @given(n=st.integers(1, 200), window=st.integers(1, 30),
-           stride=st.integers(1, 30))
-    @settings(max_examples=100)
-    def test_first_indices_partition_bounds(self, n, window, stride):
-        data = np.zeros((n, 2))
-        bounds = window_bounds(n, window, stride)
-        batches = window_batches(data, bounds, window, stride)
-        covered = 0
-        for first, batch in batches:
-            assert first == covered
-            covered += batch.shape[0]
-            for row in range(batch.shape[0]):
-                a, b = bounds[first + row]
-                assert batch.shape[1] == b - a
-        assert covered == len(bounds)
-
-    def test_full_window_batch_is_zero_copy(self):
-        data = np.arange(48.0).reshape(24, 2)
-        bounds = window_bounds(24, 6)
-        batches = window_batches(data, bounds, 6)
-        assert len(batches) == 1
-        assert batches[0][1].base is not None  # a view, not a copy
-
-    def test_empty_bounds_give_no_batches(self):
-        assert window_batches(np.zeros((0, 2)), [], 4) == []

@@ -123,7 +123,7 @@ class TestWeightedSVDExtractor:
         windows = rng.normal(size=(3, 12, 6)) * 40
         windows[1, :, 3:] *= 1e160
         with pytest.raises(FeatureError, match="window 1, joint 1"):
-            WeightedSVDExtractor().extract_batch(windows)
+            WeightedSVDExtractor().extract_batch(windows, np.full(3, 12))
         with pytest.raises(FeatureError, match="overflows float64"):
             weighted_svd_feature(windows[1, :, 3:])
 

@@ -77,19 +77,20 @@ class TestRecordCacheKey:
     def test_version_constant_pins_the_format(self):
         # Bumping this constant must invalidate every existing entry; the
         # pin makes version changes an explicit, reviewed event.
-        assert FEATURE_CACHE_VERSION == 2
+        assert FEATURE_CACHE_VERSION == 3
 
     def test_entry_stored_under_the_previous_version_misses(
         self, tmp_path, monkeypatch, make_record
     ):
-        # Version 1 entries hold SVD-kernel features; a warm version 1
-        # cache must not mix them into a version 2 signature set.
+        # Version 2 entries hold the one-row windows' features from the
+        # matrix-vector projection; a warm version 2 cache must not mix
+        # them into a version 3 signature set.
         cache = FeatureCache(tmp_path / "cache")
         featurizer = WindowFeaturizer(window_ms=100.0)
         record = make_record()
         fp = featurizer.cache_fingerprint()
         with monkeypatch.context() as patch:
-            patch.setattr(cache_module, "FEATURE_CACHE_VERSION", 1)
+            patch.setattr(cache_module, "FEATURE_CACHE_VERSION", 2)
             old_path = cache.store(record_cache_key(record, fp),
                                    featurizer.features(record))
         assert old_path.exists()

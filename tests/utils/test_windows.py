@@ -142,6 +142,7 @@ class TestSlidingWindowView:
         view = sliding_window_view_2d(data, window=4, stride=3)
         assert view.shape == (3, 4, 2)
         np.testing.assert_array_equal(view[1], data[3:7])
+        assert np.shares_memory(view, data)  # a view, not a copy
 
     def test_short_input_gives_empty(self):
         data = np.zeros((2, 3))
