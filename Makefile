@@ -5,7 +5,7 @@
 PY ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-strict selftest health examples bench-lint sweep-guard featurize-guard store-guard perfbench-tests perfbench-check perfbench-trace
+.PHONY: test lint lint-strict selftest health examples bench-lint sweep-guard featurize-guard fcm-guard store-guard perfbench-tests perfbench-check perfbench-trace
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/ -q
@@ -37,6 +37,12 @@ featurize-guard:
 		tests/properties/test_eq3_band_properties.py \
 		tests/properties/test_padded_window_properties.py \
 		benchmarks/test_batched_featurize.py -q
+
+fcm-guard:
+	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/fuzzy \
+		tests/properties/test_fcm_oracle_properties.py \
+		tests/parallel/test_blas_threads.py \
+		benchmarks/test_sweep_cache_current.py -q
 
 store-guard:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/retrieval tests/data/test_population.py \

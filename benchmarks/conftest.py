@@ -14,10 +14,11 @@ Protocol choices (documented in EXPERIMENTS.md):
   the stride ablation benchmark compares this against non-overlapping
   windows);
 * k = 5 for the retrieval metric, as in the paper;
-* one BLAS thread, as in ``perfbench/run.py``.  FCM's matrix products round
-  differently on more threads, which can flip an Eq. 6 near-tie, so a
-  cached sweep is only ever written with the pin in force (see
-  :func:`_sweep_cached`).
+* one BLAS thread, as in ``perfbench/run.py``.  FCM's products give the
+  same bits on one and two threads (``tests/parallel/test_blas_threads.py``),
+  but that holds only for the BLAS it was checked with, and a rounding
+  change can flip an Eq. 6 near-tie, so a cached sweep is still only ever
+  written with the pin in force (see :func:`_sweep_cached`).
 
 Every benchmark session also runs with observability enabled in
 aggregate-only mode (``max_spans=0`` — exact per-stage totals, no

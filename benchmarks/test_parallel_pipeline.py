@@ -7,6 +7,11 @@ all three paths are **byte-identical**, and records the evidence
 (wall-clock plus the ``repro.obs`` ``parallel.featurize`` stage aggregates)
 to ``benchmarks/_cache/parallel_pipeline.json``.
 
+Cold and warm are each the median of five alternating passes, every cold
+pass on a fresh cache directory and every warm pass reading the one its
+cold pass just wrote.  A single pass of each followed the shared host's
+fast and slow spells: back to back, one host read 2.7x and 5.4x.
+
 Only the cache speedup is asserted.  It replaces windowing + SVD work with
 one hash + one ``.npz`` read per motion whatever the core count, while a
 process pool's gain depends on the host: on a shared 2-core host two
@@ -16,6 +21,7 @@ workers took 0.353 s against 0.400 s serial for these 128 records at
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from conftest import CACHE_DIR, STRIDE_MS
@@ -28,6 +34,7 @@ from repro.parallel.runner import featurize_records
 
 WINDOW_MS = 100.0
 MIN_SPEEDUP = 2.0
+PASSES = 5
 
 
 def _featurize_stage_total() -> float:
@@ -36,51 +43,66 @@ def _featurize_stage_total() -> float:
     return float(stage["total_s"]) if stage else 0.0
 
 
+def _timed(*args, **kwargs):
+    t0 = time.perf_counter()
+    result = featurize_records(*args, **kwargs)
+    return result, time.perf_counter() - t0
+
+
+def _assert_same_bytes(reference, candidates):
+    for want, got in zip(reference, candidates):
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.bounds == want.bounds
+
+
 def test_warm_cache_at_least_2x_faster_than_cold(hand_dataset, tmp_path):
     featurizer = WindowFeaturizer(window_ms=WINDOW_MS, stride_ms=STRIDE_MS)
     records = list(hand_dataset)
-    cache = FeatureCache(tmp_path / "features")
-
-    stage_before = _featurize_stage_total()
-    t0 = time.perf_counter()
-    cold = featurize_records(featurizer, records, cache=cache)
-    cold_s = time.perf_counter() - t0
-    stage_cold = _featurize_stage_total()
-
-    t0 = time.perf_counter()
-    warm = featurize_records(featurizer, records, cache=cache)
-    warm_s = time.perf_counter() - t0
-    stage_warm = _featurize_stage_total()
-
-    t0 = time.perf_counter()
-    pooled = featurize_records(featurizer, records, n_jobs=2)
-    pool_s = time.perf_counter() - t0
-
-    for reference, candidate in zip(cold, warm):
-        assert candidate.matrix.tobytes() == reference.matrix.tobytes()
-        assert candidate.bounds == reference.bounds
-    for reference, candidate in zip(cold, pooled):
-        assert candidate.matrix.tobytes() == reference.matrix.tobytes()
-        assert candidate.bounds == reference.bounds
-
     n = len(records)
-    assert cache.stats.misses == n and cache.stats.stores == n
-    assert cache.stats.hits == n
 
+    cold_times, warm_times = [], []
+    stage_cold = stage_warm = 0.0
+    reference = None
+    for i in range(PASSES):
+        cache = FeatureCache(tmp_path / f"features-{i}")
+        stage_before = _featurize_stage_total()
+        cold, cold_s = _timed(featurizer, records, cache=cache)
+        stage_mid = _featurize_stage_total()
+        warm, warm_s = _timed(featurizer, records, cache=cache)
+        stage_cold += stage_mid - stage_before
+        stage_warm += _featurize_stage_total() - stage_mid
+        cold_times.append(cold_s)
+        warm_times.append(warm_s)
+
+        if reference is None:
+            reference = cold
+        _assert_same_bytes(reference, cold)
+        _assert_same_bytes(reference, warm)
+        assert cache.stats.misses == n and cache.stats.stores == n
+        assert cache.stats.hits == n
+
+    pooled, pool_s = _timed(featurizer, records, n_jobs=2)
+    _assert_same_bytes(reference, pooled)
+
+    cold_s = statistics.median(cold_times)
+    warm_s = statistics.median(warm_times)
     speedup = cold_s / warm_s
     artifact = {
         "n_records": n,
         "window_ms": WINDOW_MS,
         "stride_ms": STRIDE_MS,
+        "passes": PASSES,
         "cold_serial_s": cold_s,
         "warm_cache_s": warm_s,
+        "cold_serial_passes_s": cold_times,
+        "warm_cache_passes_s": warm_times,
         "process_pool_n_jobs2_s": pool_s,
         "warm_cache_speedup": speedup,
         "min_speedup_asserted": MIN_SPEEDUP,
         "cache_stats": cache.stats.as_dict(),
         "obs_stage_parallel_featurize_s": {
-            "cold": stage_cold - stage_before,
-            "warm": stage_warm - stage_cold,
+            "cold": stage_cold / PASSES,
+            "warm": stage_warm / PASSES,
         },
     }
     CACHE_DIR.mkdir(exist_ok=True)
@@ -88,6 +110,6 @@ def test_warm_cache_at_least_2x_faster_than_cold(hand_dataset, tmp_path):
 
     assert speedup >= MIN_SPEEDUP, (
         f"warm cache only {speedup:.2f}x faster than cold serial "
-        f"(cold {cold_s:.3f}s, warm {warm_s:.3f}s); evidence in "
-        f"{CACHE_DIR / 'parallel_pipeline.json'}"
+        f"(median cold {cold_s:.3f}s, warm {warm_s:.3f}s over {PASSES} "
+        f"passes); evidence in {CACHE_DIR / 'parallel_pipeline.json'}"
     )

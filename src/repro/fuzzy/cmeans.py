@@ -19,25 +19,42 @@ until the objective improvement falls below ``tol`` or ``max_iter`` passes.
 The fuzzifier defaults to ``m = 2`` — the paper: "parameter m is chosen in
 range of [1, ∞] ... we choose m = 2 as it is most widely used".
 
-Every iteration makes one pass of :func:`squared_distances`, the shared
-matrix-product kernel of :mod:`repro.utils.distances` (re-exported here),
-which feeds both the membership update and the objective.  It matches a
-naive loop within a documented band rather than bit for bit.
+Layout
+------
+The loop keeps its distances, memberships and weights ``u^m`` cluster-major,
+``(c, n)``, in buffers allocated once per fit and updated in place, so
+every reduction over windows runs along contiguous memory: the per-window
+normalizer ``S_k = Σ_j d_jk^(−2/(m−1))`` is ``c`` vector adds down the
+columns, and each cluster's weight sum is one pairwise sum along its row.
+``FCMResult.membership`` is transposed to ``(n, c)`` once, at the end.
 
-Each iteration avoids passes over its ``(n, c)`` arrays that recompute
-something already in hand: the row norms ``‖x‖²`` are computed once per
-fit, ``u^m`` once per iteration (for the objective and the next center
-update), and :func:`membership_from_distances` tests the whole matrix for
-zero distances once, taking the masked equal-split path only when a point
-sits on a center (the initial memberships, whose centers are data points).
-Every result is bit-identical to the loop without these shortcuts, which
-``tests/fuzzy/fcm_oracle.py`` keeps as the oracle.
+Both products over windows run in fixed blocks of
+:data:`~repro.utils.distances.CHUNK` windows.  The distances come from
+:func:`~repro.utils.distances.squared_distances_cluster_major`, the shared
+kernel's ``(c, n)`` form; the center numerators ``Σ_k u_ik^m x_k`` are the
+sum, in block order, of stacked ``(c, CHUNK) × (CHUNK, d)`` products plus
+the remainder's.  A single product over all windows rounds differently
+depending on how many threads BLAS splits it over; fixed blocks give the
+same fit at any BLAS thread count.
+
+Where no point sits on a center, ``u_ik = d_ik^(−2/(m−1)) / S_k`` and the
+objective is ``J_m = Σ_k S_k^(1−m)`` (``Σ_k 1/S_k`` for ``m = 2``), which
+equals ``Σ_i Σ_k u_ik^m d_ik²`` algebraically and costs one pass over ``n``
+normalizers.  A distance at or below ``_EPS`` (or NaN) sends the update down
+:func:`membership_from_distances`'s masked equal-split path, and ``J_m``
+is then summed directly.  The initial memberships, whose centers are data
+points, normally take that path.
+
+The former ``(n, c)`` iteration, kept as ``tests/fuzzy/fcm_oracle.py``,
+is the reference.  The two round differently, so they are compared over
+the first few iterations inside a band derived in
+``tests/fuzzy/test_fcm_oracle_equivalence.py``, not bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -49,7 +66,11 @@ from repro.obs.config import (
     record_series,
     span,
 )
-from repro.utils.distances import squared_distances
+from repro.utils.distances import (
+    CHUNK,
+    squared_distances,
+    squared_distances_cluster_major,
+)
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_array, check_in_range, check_positive_int, shapes
 
@@ -181,37 +202,44 @@ class FuzzyCMeans:
         return best
 
     def _fit_once(self, x: np.ndarray, rng: np.random.Generator) -> FCMResult:
+        x = np.ascontiguousarray(x)  # the chunked products take views of it
         n = x.shape[0]
         c = self.n_clusters
         # Initialize centers on distinct random points; this converges faster
         # and more reproducibly than random memberships.
         centers = x[rng.choice(n, size=c, replace=False)].copy()
-        # The row norms never change within a fit; passing them to the
-        # distance kernel leaves every distance bit-identical.
+        # The row norms never change within a fit; the (c, n) distances,
+        # memberships and weights u^m are overwritten in place every
+        # iteration.  The initial memberships, whose centers are data
+        # points, take the masked path; its temporaries and the first
+        # distances are freed before the other two buffers are allocated,
+        # which kept the sweep's peak RSS at the former loop's.
         x_sq = np.einsum("nd,nd->n", x, x)
-        membership = membership_from_distances(
-            squared_distances(x, centers, x_sq), self.m
-        )
+        membership = np.ascontiguousarray(membership_from_distances(
+            squared_distances_cluster_major(x, centers, x_sq).T, self.m).T)
         weights = membership**self.m
+        d2 = np.empty_like(membership)
+        normalizer = np.empty(n)
+        # Membership shift is pure telemetry (the stopping rule is the
+        # objective), so the previous memberships are kept, in a second
+        # buffer that trades places with the current one, only when
+        # observability is on.
+        previous = np.empty_like(d2) if is_enabled() else None
         history = []
         converged = False
         iteration = 0
         for iteration in range(1, self.max_iter + 1):
             with span("fcm.iterate", iteration=iteration) as sp:
-                previous = membership
                 centers = self._centers(x, weights)
-                # One distance pass per iteration feeds both the membership
-                # update and the objective, and one u^m feeds both the
-                # objective and the next iteration's center update.
-                d2 = squared_distances(x, centers, x_sq)
-                membership = membership_from_distances(d2, self.m)
-                weights = membership**self.m
-                objective = float(np.sum(weights * d2))
-                if is_enabled():
-                    # Membership shift is pure telemetry (the stopping rule is
-                    # the objective), so the extra O(nc) pass only runs when
-                    # observability is on.
-                    shift = float(np.abs(membership - previous).max())
+                squared_distances_cluster_major(x, centers, x_sq, out=d2)
+                if previous is not None:
+                    membership, previous = previous, membership
+                objective = _update_memberships(
+                    d2, self.m, membership, weights, normalizer)
+                if previous is not None:
+                    # d2 is spent until the next distance pass.
+                    np.subtract(membership, previous, out=d2)
+                    shift = float(np.abs(d2, out=d2).max())
                     record_series("fcm.objective", objective)
                     record_series("fcm.membership_shift", shift)
                     sp.set(objective=objective, shift=shift)
@@ -221,7 +249,7 @@ class FuzzyCMeans:
                 break
         return FCMResult(
             centers=centers,
-            membership=membership,
+            membership=np.ascontiguousarray(membership.T),
             objective_history=np.asarray(history),
             n_iter=iteration,
             converged=converged,
@@ -233,12 +261,48 @@ class FuzzyCMeans:
     # ------------------------------------------------------------------
 
     def _centers(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Centers from the ``(n, c)`` weights ``u^m``."""
-        denom = weights.sum(axis=0)  # (c,)
-        # A cluster abandoned by every point keeps a center at the weighted
-        # grand mean rather than dividing by zero.
+        """Centers from the ``(c, n)`` weights ``u^m``."""
+        denom = weights.sum(axis=1)  # (c,)
+        # A cluster abandoned by every point gets the denominator 1 rather
+        # than a division by zero, so its center is Σ_k u_ik^m x_k, about
+        # the origin: the grand mean only when the data are z-scored.
         denom = np.where(denom < _EPS, 1.0, denom)
-        return (weights.T @ x) / denom[:, None]
+        # Fixed blocks of windows, summed in block order, then the rest.
+        c, n = weights.shape
+        full = n - n % CHUNK
+        numerator = np.matmul(
+            weights[:, :full].reshape(c, -1, CHUNK).transpose(1, 0, 2),
+            x[:full].reshape(-1, CHUNK, x.shape[1]),
+        ).sum(axis=0)
+        if full < n:
+            numerator += weights[:, full:] @ x[full:]
+        return numerator / denom[:, None]
+
+
+def _update_memberships(d2: np.ndarray, m: float, membership: np.ndarray,
+                        weights: np.ndarray, normalizer: np.ndarray) -> float:
+    """Write the ``(c, n)`` memberships and weights ``u^m``; return ``J_m``.
+
+    ``membership``, ``weights`` and the ``(n,)`` ``normalizer`` are
+    overwritten.  With no distance at or below ``_EPS``, each column is
+    ``d2^(−1/(m−1))`` over its sum ``S`` and ``J_m = Σ S^(1−m)``; otherwise
+    :func:`membership_from_distances` takes its masked path on the
+    transpose and ``J_m = Σ u^m d²``.
+    """
+    if d2.min() > _EPS:
+        # Only m exactly 2 gives the exponent -1.0, which a division
+        # computes at half the cost of a power.
+        if m == 2.0:  # lint: ignore[R4]
+            np.divide(1.0, d2, out=membership)
+        else:
+            np.power(d2, -1.0 / (m - 1.0), out=membership)
+        np.sum(membership, axis=0, out=normalizer)
+        membership /= normalizer
+        np.power(membership, m, out=weights)
+        return float(np.sum(normalizer ** (1.0 - m)))
+    membership[...] = membership_from_distances(d2.T, m).T
+    np.power(membership, m, out=weights)
+    return float(np.sum(weights * d2))
 
 
 @shapes(d2="(n, c)")

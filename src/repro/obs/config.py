@@ -280,15 +280,20 @@ def capture(clock: Optional[Clock] = None,
 
     The recorders read ``clock``, or a new monotonic clock when it is
     ``None``; a clock injected into an earlier session is never reused.
-    The yielded state retains its data after the block exits, so callers
-    export from it::
+    They keep up to ``max_spans`` span records and ``max_events`` events,
+    :data:`DEFAULT_MAX_SPANS` and :data:`DEFAULT_MAX_EVENTS` when ``None``,
+    whatever bounds an earlier :func:`configure` set.  The yielded state
+    retains its data after the block exits, so callers export from it::
 
         with capture() as state:
             model.fit(train)
         payload = collect_payload(state)
     """
-    state = configure(enabled=True, clock=clock, reset=True,
-                      max_spans=max_spans, max_events=max_events)
+    state = configure(
+        enabled=True, clock=clock, reset=True,
+        max_spans=DEFAULT_MAX_SPANS if max_spans is None else max_spans,
+        max_events=DEFAULT_MAX_EVENTS if max_events is None else max_events,
+    )
     try:
         yield state
     finally:

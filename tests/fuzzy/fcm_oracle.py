@@ -2,14 +2,17 @@
 
 This is the library's former iteration, kept verbatim as the oracle for
 :meth:`repro.fuzzy.cmeans.FuzzyCMeans._fit_once` and
-:func:`repro.fuzzy.cmeans.membership_from_distances`.  Each iteration
-recomputes the row norms inside :func:`squared_distances`, raises the
-memberships to the power ``m`` twice (for the objective and again for the
-next center update), and builds the zero-distance mask on every call.
-``OracleFuzzyCMeans`` runs :meth:`FuzzyCMeans.fit`'s restart loop over this
-iteration.  ``tests/properties/test_fcm_oracle_properties.py`` and
-``tests/fuzzy/test_fcm_oracle_equivalence.py`` require the production loop
-to match it bit for bit.
+:func:`repro.fuzzy.cmeans.membership_from_distances`.  It keeps its arrays
+window-major, ``(n, c)``: each iteration recomputes the row norms inside
+:func:`squared_distances`, raises the memberships to the power ``m`` twice
+(for the objective and again for the next center update), sums
+``u^m d²`` for the objective, and builds the zero-distance mask on every
+call.  ``OracleFuzzyCMeans`` runs :meth:`FuzzyCMeans.fit`'s restart loop
+over this iteration.  ``membership_from_distances`` must match it bit for
+bit; the cluster-major loop rounds differently and must stay inside the
+band that ``tests/fuzzy/test_fcm_oracle_equivalence.py`` derives along
+this iteration's trajectory (also the property in
+``tests/properties/test_fcm_oracle_properties.py``).
 """
 
 from __future__ import annotations

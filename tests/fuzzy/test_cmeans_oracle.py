@@ -9,7 +9,8 @@ cluster counts and fuzzifiers, including a full fit run step-by-step.
 The matrix-product distance kernel is additionally pinned to the naive loop
 by its documented band, ``|d2 - naive| <= 16·ε·(‖x‖² + ‖v‖²)`` per entry,
 including points far from the origin where the expansion cancels, and is
-never negative.
+never negative.  Its cluster-major form, which the FCM loop uses, is held to
+the same band, with point counts on both sides of its block size.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.fuzzy.cmeans import (
     membership_from_distances,
     squared_distances,
 )
+from repro.utils.distances import CHUNK, squared_distances_cluster_major
 from repro.utils.rng import as_generator
 
 RTOL = 1e-10
@@ -125,6 +127,25 @@ def test_squared_distances_within_band_of_naive(points, rng, offset):
                   <= distance_band(x, centers))
 
 
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, 2 * CHUNK + 3])
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_cluster_major_distances_within_band_of_naive(rng, n, offset):
+    # Whole blocks of CHUNK points, and a remainder, on both sides of the
+    # block size; the first six points sit on the centers, as above.
+    x = rng.normal(size=(n, 3)) + offset
+    centers = rng.normal(size=(6, 3)) + offset
+    x[:6] = centers
+    d2 = squared_distances_cluster_major(x, centers)
+    assert d2.shape == (6, n) and d2.flags.c_contiguous
+    assert np.all(d2 >= 0.0)
+    assert np.all(np.abs(d2.T - naive_squared_distances(x, centers))
+                  <= distance_band(x, centers))
+    out = np.full((6, n), np.nan)
+    x_sq = np.einsum("nd,nd->n", x, x)
+    assert squared_distances_cluster_major(x, centers, x_sq, out=out) is out
+    assert out.tobytes() == d2.tobytes()
+
+
 def test_point_on_center_takes_equal_split_branch(points, rng):
     centers = rng.normal(size=(4, points.shape[1]))
     x = points.copy()
@@ -165,8 +186,10 @@ def test_centers_match_naive(points, rng, m):
     centers = rng.normal(size=(c, points.shape[1]))
     u = membership_from_distances(squared_distances(points, centers), m)
     estimator = FuzzyCMeans(n_clusters=c, m=m)
+    # The fit keeps its weights cluster-major, (c, n).
+    weights = np.ascontiguousarray((u**m).T)
     np.testing.assert_allclose(
-        estimator._centers(points, u**m), naive_centers(points, u, m), rtol=RTOL
+        estimator._centers(points, weights), naive_centers(points, u, m), rtol=RTOL
     )
 
 

@@ -10,11 +10,14 @@ import pytest
 from repro.errors import ValidationError
 from repro.obs.clock import ManualClock, MonotonicClock
 from repro.obs.config import (
+    DEFAULT_MAX_EVENTS,
+    DEFAULT_MAX_SPANS,
     capture,
     configure,
     current_state,
     is_enabled,
     record_counter,
+    record_event,
     span,
     traced,
 )
@@ -264,6 +267,26 @@ class TestCapture:
         assert isinstance(state.clock, MonotonicClock)
         configure(clock=ManualClock())
         assert isinstance(configure(reset=True).clock, MonotonicClock)
+
+    def test_capture_starts_from_the_default_bounds(self):
+        # An aggregate-only session (max_spans=0, as the benchmarks run)
+        # must not leave a later capture without span or event records.
+        try:
+            configure(enabled=True, max_spans=0, max_events=0)
+            with capture() as state:
+                with span("inside"):
+                    record_event("inside.event")
+            assert (state.max_spans, state.max_events) == (
+                DEFAULT_MAX_SPANS, DEFAULT_MAX_EVENTS)
+            assert [r.name for r in state.collector.records()] == ["inside"]
+            assert [e.name for e in state.events.records()] == ["inside.event"]
+            with capture(max_spans=3, max_events=2) as bounded:
+                pass
+            assert (bounded.max_spans, bounded.max_events) == (3, 2)
+        finally:
+            # configure(reset=True) keeps bounds, so later tests need these.
+            configure(enabled=False, max_spans=DEFAULT_MAX_SPANS,
+                      max_events=DEFAULT_MAX_EVENTS)
 
     def test_capture_disables_even_on_error(self):
         with pytest.raises(ValidationError):
