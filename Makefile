@@ -5,7 +5,7 @@
 PY ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-strict selftest health examples bench-lint sweep-guard featurize-guard fcm-guard store-guard perfbench-tests perfbench-check perfbench-trace
+.PHONY: test lint lint-strict selftest health examples bench-lint sweep-guard featurize-guard fcm-guard signal-guard store-guard perfbench-tests perfbench-check perfbench-trace
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/ -q
@@ -43,6 +43,12 @@ fcm-guard:
 		tests/properties/test_fcm_oracle_properties.py \
 		tests/parallel/test_blas_threads.py \
 		benchmarks/test_sweep_cache_current.py -q
+
+signal-guard:
+	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/signal tests/emg \
+		tests/properties/test_filter_kernel_properties.py \
+		tests/parallel/test_blas_threads.py \
+		tests/test_public_api.py::test_library_does_not_import_scipy -q
 
 store-guard:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest tests/retrieval tests/data/test_population.py \

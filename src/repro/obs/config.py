@@ -111,9 +111,11 @@ def configure(
     clock:
         Inject a time source (implies fresh, empty recorders bound to it).
     reset:
-        Discard all collected spans, metrics and events, and any injected
-        clock: without ``clock`` the fresh recorders read a new
-        :class:`~repro.obs.clock.MonotonicClock`.
+        Discard all collected spans, metrics and events, any injected clock
+        and any earlier bounds: without ``clock`` the fresh recorders read a
+        new :class:`~repro.obs.clock.MonotonicClock`, and without
+        ``max_spans``/``max_events`` they keep :data:`DEFAULT_MAX_SPANS`
+        and :data:`DEFAULT_MAX_EVENTS` records.
     max_spans:
         New bound on retained span records (implies fresh recorders).
     max_events:
@@ -130,12 +132,14 @@ def configure(
         new_enabled = prev.enabled if enabled is None else bool(enabled)
         if reset or clock is not None or max_spans is not None \
                 or max_events is not None:
+            spans_bound = DEFAULT_MAX_SPANS if reset else prev.max_spans
+            events_bound = DEFAULT_MAX_EVENTS if reset else prev.max_events
             _STATE = _fresh_state(
                 enabled=new_enabled,
                 clock=clock if clock is not None or reset else prev.clock,
-                max_spans=max_spans if max_spans is not None else prev.max_spans,
+                max_spans=max_spans if max_spans is not None else spans_bound,
                 max_events=(max_events if max_events is not None
-                            else prev.max_events),
+                            else events_bound),
             )
         else:
             prev.enabled = new_enabled
@@ -289,11 +293,8 @@ def capture(clock: Optional[Clock] = None,
             model.fit(train)
         payload = collect_payload(state)
     """
-    state = configure(
-        enabled=True, clock=clock, reset=True,
-        max_spans=DEFAULT_MAX_SPANS if max_spans is None else max_spans,
-        max_events=DEFAULT_MAX_EVENTS if max_events is None else max_events,
-    )
+    state = configure(enabled=True, clock=clock, reset=True,
+                      max_spans=max_spans, max_events=max_events)
     try:
         yield state
     finally:

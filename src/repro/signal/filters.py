@@ -9,7 +9,7 @@ Design route
 ------------
 1. Analog low-pass Butterworth prototype of order ``N``: poles equally spaced
    on the unit left-half circle.
-2. Frequency transform (lp→lp, lp→hp, or lp→bp) at the pre-warped analog
+2. Frequency transform (lp→lp or lp→bp) at the pre-warped analog
    frequencies.
 3. Bilinear transform to the digital domain.
 4. Conversion from zpk to transfer-function (b, a) coefficients.
@@ -18,16 +18,27 @@ Application
 -----------
 A filter ``b(z)/a(z)`` is factored into real second-order sections: the roots
 of ``a`` and of ``b`` are paired into conjugate or real pairs, and the gain
-goes on the first section.  Each section then runs over fixed blocks of
-``_BLOCK`` samples.  Within a block, the zero-state response is one matrix
-product with the section's impulse-response Toeplitz matrix and the
-zero-input response is one product with its state-to-output rows, so the only
-Python loop hands the section's two-element direct-form-II-transposed state
-from one block to the next.  Sections keep that blocked arithmetic well
-conditioned where the transfer-function form of an order-8 low-pass does not.
+goes on the first section.  The cascade of sections is then one linear
+system whose state stacks every section's two direct-form-II-transposed
+states.  Its state matrix is built from the sections, block lower-triangular
+because each section's input is the previous one's output, and never from
+the companion matrix of the order-8 transfer function, whose poor
+conditioning is why sections exist.
+
+A pass runs that system over fixed blocks of ``_BLOCK`` samples.  A filter's
+plan holds four block matrices: the Toeplitz matrix of the cascade's impulse
+response, the zero-input response of a state over a block, the map from a
+block's inputs to its end state, and the block transition ``A^_BLOCK``.  One
+product of every block with the first and third gives the zero-state outputs
+and the end states from rest; a doubling scan carries the states across
+blocks in ``ceil(log2(n_blocks))`` small products; one more product adds each
+block's zero-input response.  No Python loop runs per block or per section.
+Plans are built on first use, once per normalized ``(b, a)``, and kept in a
+small least-recently-used memo (``_PLANS`` filters) whose arrays are
+read-only.
 
 :func:`filtfilt` is zero-phase forward-backward filtering with odd reflective
-padding and per-section steady-state initial conditions — the conventions of
+padding and steady-state initial conditions — the conventions of
 ``scipy.signal.filtfilt``, which the test suite compares it with.  The
 per-sample difference-equation loop it replaced lives on in
 ``tests/signal/iir_oracle.py`` as the oracle the kernel must match to
@@ -36,8 +47,9 @@ per-sample difference-equation loop it replaced lives on in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -48,13 +60,15 @@ from repro.utils.validation import check_array, check_in_range, check_positive_i
 __all__ = [
     "IIRFilter",
     "butter_lowpass",
-    "butter_highpass",
     "butter_bandpass",
     "filtfilt",
 ]
 
-#: Samples per block of the block-recursive section kernel.
+#: Samples per block of the block-recursive cascade kernel.
 _BLOCK = 64
+
+#: Distinct filters whose block plans are memoized, least recently used first out.
+_PLANS = 16
 
 
 def _analog_lowpass_prototype(order: int) -> np.ndarray:
@@ -115,9 +129,8 @@ class IIRFilter:
         x = _check_signal(x, axis)
         if x.size == 0:
             return x.copy()
-        sos = _sections(self.b, self.a)
-        responses = _block_responses(sos)
-        return _along(x, axis, lambda rows: _cascade(sos, responses, rows))
+        plan = _plan(self.b.tobytes(), self.a.tobytes())
+        return _along(x, axis, lambda rows: _run(plan, rows))
 
     def apply_zero_phase(self, x: np.ndarray, axis: int = 0) -> np.ndarray:  # lint: ignore[R5]
         """Zero-phase forward-backward filtering along ``axis``."""
@@ -180,19 +193,6 @@ def butter_lowpass(cutoff_hz: float, fs: float, order: int = 4) -> IIRFilter:
     gain = warped**order
     return _design(order, np.array([]), poles, gain, fs,
                    f"butterworth lowpass {cutoff_hz:g}Hz order {order}")
-
-
-def butter_highpass(cutoff_hz: float, fs: float, order: int = 4) -> IIRFilter:
-    """Digital Butterworth high-pass filter (see :func:`butter_lowpass`)."""
-    order = check_positive_int(order, name="order")
-    warped = _prewarp(cutoff_hz, fs)
-    proto = _analog_lowpass_prototype(order)
-    # lp -> hp transform: s -> warped / s.  For the unit-gain Butterworth
-    # prototype prod(-p) = 1, so the transformed gain is exactly 1.
-    poles = warped / proto
-    zeros = np.zeros(order, dtype=complex)
-    return _design(order, zeros, poles, 1.0, fs,
-                   f"butterworth highpass {cutoff_hz:g}Hz order {order}")
 
 
 def butter_bandpass(
@@ -287,76 +287,101 @@ def _sections(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.column_stack([num, den[:, 1:]])
 
 
-def _block_responses(sos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-section block matrices, for signals laid out as row vectors.
+class _Plan(NamedTuple):
+    """Block matrices of a filter's section cascade, for signals as row vectors.
 
-    Returns ``(toeplitz, to_output)`` of shapes ``(n_sections, _BLOCK,
-    _BLOCK)`` and ``(n_sections, 2, _BLOCK)``: section ``i`` turns a block
-    ``X`` of inputs, started in state ``s``, into the outputs
-    ``X @ toeplitz[i] + s @ to_output[i]``.
+    The cascade is one linear system whose state stacks every section's two
+    direct-form-II-transposed states.  A block ``X`` of ``_BLOCK`` inputs,
+    started in state ``s``, gives the outputs ``X @ block[:, :_BLOCK] + s @
+    to_output`` and the end state ``X @ block[:, _BLOCK:] + s @ transition``.
     """
-    b0, b1, b2, a1, a2 = sos.T
-    # Column n of to_output[i] is (A^T)^n c, for the section's state matrix
-    # A and output row c = [1, 0], so s @ to_output[i] is the zero-input
-    # response from state s; doubling fills it in log2(_BLOCK) products.
-    power = np.zeros((len(sos), 2, 2))
-    power[:, 0, 0], power[:, 0, 1], power[:, 1, 0] = -a1, -a2, 1.0
-    to_output = np.zeros((len(sos), 2, _BLOCK))
-    to_output[:, 0, 0] = 1.0
+
+    sos: np.ndarray
+    block: np.ndarray
+    to_output: np.ndarray
+    transition: np.ndarray
+
+
+def _state_space(sos: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``(A, B, C, D)`` of the cascade: ``s' = A s + B x``, ``y = C s + D x``.
+
+    ``A`` is block lower-triangular: section ``i``'s input is section
+    ``i - 1``'s output, so its state reads every earlier section's state.
+    """
+    n = 2 * len(sos)
+    a_mat, b_vec, c_vec, d = np.zeros((n, n)), np.zeros(n), np.zeros(n), 1.0
+    for i, (b0, b1, b2, a1, a2) in enumerate(sos):
+        k = slice(2 * i, 2 * i + 2)
+        # An input u leaves the state [b1 - a1 b0, b2 - a2 b0] after its sample.
+        kick = np.array([b1 - a1 * b0, b2 - a2 * b0])
+        a_mat[k] = np.outer(kick, c_vec)
+        a_mat[k, k] = [[-a1, 1.0], [-a2, 0.0]]
+        b_vec[k] = kick * d
+        c_vec = b0 * c_vec
+        c_vec[2 * i] += 1.0
+        d = b0 * d
+    return a_mat, b_vec, c_vec, d
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _plan(b_bytes: bytes, a_bytes: bytes) -> _Plan:
+    """The read-only :class:`_Plan` of a normalized ``(b, a)``, built once."""
+    sos = _sections(np.frombuffer(b_bytes), np.frombuffer(a_bytes))
+    a_mat, b_vec, c_vec, d = _state_space(sos)
+    # Column n of to_output is (C A^n)^T and column n of krylov is A^n B;
+    # doubling fills both in log2(_BLOCK) products and leaves A^_BLOCK.
+    to_output = np.zeros((len(c_vec), _BLOCK))
+    krylov = np.zeros((len(c_vec), _BLOCK))
+    to_output[:, 0], krylov[:, 0] = c_vec, b_vec
+    power = a_mat
     filled = 1
     while filled < _BLOCK:
-        to_output[:, :, filled : 2 * filled] = power @ to_output[:, :, :filled]
+        to_output[:, filled : 2 * filled] = power.T @ to_output[:, :filled]
+        krylov[:, filled : 2 * filled] = power @ krylov[:, :filled]
         power = power @ power
         filled *= 2
-    # An impulse leaves the state [b1 - a1 b0, b2 - a2 b0] after its sample.
-    kick = np.stack([b1 - a1 * b0, b2 - a2 * b0], axis=1)[:, None, :]
-    impulse = np.concatenate([b0[:, None], (kick @ to_output[:, :, :-1])[:, 0]], axis=1)
+    impulse = np.concatenate([[d], c_vec @ krylov[:, :-1]])
     lag = np.arange(_BLOCK)[None, :] - np.arange(_BLOCK)[:, None]
-    return np.where(lag >= 0, impulse[:, np.maximum(lag, 0)], 0.0), to_output
+    toeplitz = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
+    plan = _Plan(sos, np.hstack([toeplitz, krylov[:, ::-1].T]), to_output, power.T)
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
-def _end_state(section: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Direct-form-II-transposed state after inputs ``x`` gave outputs ``y``.
+def _run(plan: _Plan, rows: np.ndarray, starts: Optional[np.ndarray] = None) -> np.ndarray:
+    """Filter each row of ``rows`` through the cascade from states ``starts``.
 
-    Only the last two samples (last axis) matter; the state goes on a new
-    last axis of length 2.
-    """
-    _, b1, b2, a1, a2 = section
-    return np.stack([
-        b1 * x[..., -1] + b2 * x[..., -2] - a1 * y[..., -1] - a2 * y[..., -2],
-        b2 * x[..., -1] - a2 * y[..., -1],
-    ], axis=-1)
-
-
-def _cascade(sos: np.ndarray, responses: Tuple[np.ndarray, np.ndarray],
-             rows: np.ndarray, starts: Optional[np.ndarray] = None) -> np.ndarray:
-    """Filter each row of ``rows`` through every section, in order.
-
-    ``responses`` is :func:`_block_responses` of ``sos``; ``starts[i]`` holds
-    section ``i``'s start state per row, and ``None`` starts from rest.
+    ``starts`` has one stacked state per row; ``None`` starts from rest.  One
+    product gives every block's zero-state outputs and end states, a doubling
+    scan carries the states across blocks in ``ceil(log2(n_blocks))``
+    products, and one more product adds each block's zero-input response.
     """
     m, n = rows.shape
     n_blocks = -(-n // _BLOCK)
-    blocks = np.zeros((m, n_blocks, _BLOCK))
-    blocks.reshape(m, -1)[:, :n] = rows
-    for i, (section, toeplitz, to_output) in enumerate(zip(sos, *responses)):
-        out = (blocks.reshape(-1, _BLOCK) @ toeplitz).reshape(blocks.shape)
-        # Each block's end state, had it started from rest; the loop adds the
-        # part carried in from the previous block's end state.
-        rest_ends = _end_state(section, blocks, out).transpose(1, 0, 2)
-        transition = _end_state(section, np.zeros(2), to_output)
-        state = np.zeros((m, 2)) if starts is None else starts[i]
-        states = [state]
-        for rest_end in rest_ends[:-1]:
-            state = rest_end + state @ transition
-            states.append(state)
-        out += (np.stack(states, axis=1).reshape(-1, 2) @ to_output).reshape(out.shape)
-        blocks = out
-    return blocks.reshape(m, -1)[:, :n]
+    blocks = np.zeros((m, n_blocks * _BLOCK))
+    blocks[:, :n] = rows
+    both = blocks.reshape(-1, _BLOCK) @ plan.block
+    # states[:, k] is block k's start state; the scan sums in the end state
+    # each earlier block leaves from rest, carried by powers of the transition.
+    states = np.empty((m, n_blocks, len(plan.transition)))
+    states[:, 0] = 0.0 if starts is None else starts
+    states[:, 1:] = both[:, _BLOCK:].reshape(m, n_blocks, -1)[:, :-1]
+    power = plan.transition
+    step = 1
+    while step < n_blocks:
+        states[:, step:] += states[:, :-step] @ power
+        power = power @ power
+        step *= 2
+    out = both[:, :_BLOCK] + states.reshape(-1, states.shape[-1]) @ plan.to_output
+    return out.reshape(m, -1)[:, :n]
 
 
 def _steady_state(sos: np.ndarray) -> np.ndarray:
-    """Per-section states ``(n_sections, 2)`` of the cascade at rest on a unit input."""
+    """Per-section states ``(n_sections, 2)`` of the cascade at rest on a unit input.
+
+    Flattened, they are the cascade's stacked state (see :func:`_state_space`).
+    """
     states = np.empty((len(sos), 2))
     level = 1.0
     for i, (b0, b1, b2, a1, a2) in enumerate(sos):
@@ -380,14 +405,18 @@ def filtfilt(b: np.ndarray, a: np.ndarray, x: np.ndarray, axis: int = 0) -> np.n
     """Zero-phase forward-backward filtering of ``x`` along ``axis``.
 
     The signal is extended at both ends by ``3 * max(len(a), len(b))`` samples
-    of odd reflection (fewer for a shorter signal), and every section starts
-    from its steady state for a constant input equal to the first sample of
-    its pass — the same transient suppression as ``scipy.signal.filtfilt``.
+    of odd reflection (fewer for a shorter signal), and the cascade starts
+    each pass from its steady state for a constant input equal to the pass's
+    first sample — the same transient suppression as ``scipy.signal.filtfilt``.
+    Each pass is one block product, a doubling scan of the block states and
+    one zero-input product, through the plan memoized for ``(b, a)`` (see the
+    module docstring).
 
     Raises
     ------
     SignalError
-        If ``axis`` is out of range for ``x`` or a coefficient vector is empty.
+        If ``axis`` is out of range for ``x``, a coefficient vector is empty,
+        or the filter has a pole at ``z = 1`` (no steady state).
     ValidationError
         If ``x`` is not numeric or holds NaN or inf.
     """
@@ -396,9 +425,8 @@ def filtfilt(b: np.ndarray, a: np.ndarray, x: np.ndarray, axis: int = 0) -> np.n
     if x.size == 0:
         return x.copy()
     with span("signal.filtfilt", n_frames=x.shape[axis], order=len(a) - 1):
-        sos = _sections(b, a)
-        responses = _block_responses(sos)
-        unit = _steady_state(sos)[:, None, :]
+        plan = _plan(b.tobytes(), a.tobytes())
+        unit = _steady_state(plan.sos).reshape(-1)
         pad = min(3 * max(len(a), len(b)), x.shape[axis] - 1)
 
         def zero_phase(rows: np.ndarray) -> np.ndarray:
@@ -407,9 +435,9 @@ def filtfilt(b: np.ndarray, a: np.ndarray, x: np.ndarray, axis: int = 0) -> np.n
                 rows,
                 2 * rows[:, -1:] - rows[:, -2 : -pad - 2 : -1],
             ], axis=1)
-            fwd = _cascade(sos, responses, ext, unit * ext[None, :, :1])
+            fwd = _run(plan, ext, ext[:, :1] * unit)
             rev = fwd[:, ::-1]
-            bwd = _cascade(sos, responses, rev, unit * rev[None, :, :1])
+            bwd = _run(plan, rev, rev[:, :1] * unit)
             return bwd[:, ::-1][:, pad : pad + rows.shape[1]]
 
         return _along(x, axis, zero_phase)

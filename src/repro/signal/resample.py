@@ -18,36 +18,7 @@ from repro.obs.config import span
 from repro.signal.filters import butter_lowpass
 from repro.utils.validation import check_array, check_in_range, check_positive_int
 
-__all__ = ["decimate", "downsample_to_rate"]
-
-
-def decimate(x: np.ndarray, factor: int, fs: float, order: int = 8) -> np.ndarray:
-    """Integer-factor decimation with a Butterworth anti-alias pre-filter.
-
-    Parameters
-    ----------
-    x:
-        Signal, frames along axis 0 (1-D or 2-D).
-    factor:
-        Integer decimation factor (keep every ``factor``-th sample).
-    fs:
-        Input sampling rate in Hz (used to place the anti-alias cutoff at
-        80 % of the output Nyquist frequency).
-    order:
-        Anti-alias filter order.
-    """
-    x = check_array(x, name="x")
-    factor = check_positive_int(factor, name="factor")
-    if x.ndim not in (1, 2):
-        raise SignalError(f"x must be 1-D or 2-D, got shape {x.shape}")
-    if x.shape[0] == 0:
-        raise SignalError("cannot decimate an empty signal")
-    if factor == 1:
-        return x.copy()
-    cutoff = 0.8 * (fs / factor) / 2.0
-    filt = butter_lowpass(cutoff, fs, order=order)
-    smoothed = filt.apply_zero_phase(x, axis=0)
-    return smoothed[::factor].copy()
+__all__ = ["downsample_to_rate"]
 
 
 def downsample_to_rate(

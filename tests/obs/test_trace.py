@@ -284,9 +284,24 @@ class TestCapture:
                 pass
             assert (bounded.max_spans, bounded.max_events) == (3, 2)
         finally:
-            # configure(reset=True) keeps bounds, so later tests need these.
-            configure(enabled=False, max_spans=DEFAULT_MAX_SPANS,
-                      max_events=DEFAULT_MAX_EVENTS)
+            configure(enabled=False, reset=True)
+
+    def test_reset_starts_from_the_default_bounds(self):
+        # The fixture's reset between tests must not carry an aggregate-only
+        # session's bounds into the next test.
+        configure(enabled=True, max_spans=0, max_events=0)
+        state = configure(reset=True)
+        assert (state.max_spans, state.max_events) == (
+            DEFAULT_MAX_SPANS, DEFAULT_MAX_EVENTS)
+        with span("after.reset"):
+            record_event("after.reset.event")
+        assert [r.name for r in state.collector.records()] == ["after.reset"]
+        assert [e.name for e in state.events.records()] == ["after.reset.event"]
+        # Explicit bounds win over the defaults; a call without reset keeps
+        # the current bounds.
+        assert configure(reset=True, max_spans=3).max_spans == 3
+        assert configure(enabled=False).max_spans == 3
+        assert configure(max_events=2).max_spans == 3
 
     def test_capture_disables_even_on_error(self):
         with pytest.raises(ValidationError):

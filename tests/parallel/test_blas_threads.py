@@ -18,7 +18,12 @@ byte-identical outputs:
   where one ``(c, d) × (d, n)`` distance product changed bits, plus the
   reductions over those windows that follow a fit: the scaler statistics,
   Eq. 9 memberships, Xie–Beni and the drift baseline;
-* ``MotionClassifier.database_signatures`` on the committed golden dataset.
+* ``MotionClassifier.database_signatures`` on the committed golden dataset;
+* ``Myomonitor().condition`` of a 4-channel 1000 Hz recording at the
+  ``query`` trial lengths (2925 and 4217 samples), which runs the filter
+  kernel's block products through the order-8 anti-alias low-pass;
+* ``filtfilt`` through ``butter_bandpass(20, 450, 1000, 4)``, the band-pass
+  of the Myomonitor's acquisition.
 
 It shows the property only for the installed BLAS and the kernels it
 selects for the CPU it runs on.  It is skipped on a single-core host, where
@@ -45,9 +50,11 @@ import numpy as np
 
 from repro.core.model import MotionClassifier
 from repro.data.serialize import load_dataset
+from repro.emg import EMGRecording, Myomonitor
 from repro.features.scaling import FeatureScaler
 from repro.fuzzy import FuzzyCMeans, membership_matrix, xie_beni_index
 from repro.obs.drift import BaselineSnapshot
+from repro.signal import butter_bandpass, filtfilt
 
 out = {}
 
@@ -78,6 +85,14 @@ out["query.baseline_objective"] = np.array(BaselineSnapshot.from_fit(
 train, _ = load_dataset(sys.argv[2]).train_test_split(0.25, seed=0)
 model = MotionClassifier(n_clusters=4, window_ms=100.0).fit(train, seed=0)
 out["golden.database_signatures"] = model.database_signatures
+
+gen = np.random.default_rng(7)
+for n in (2925, 4217):
+    raw = EMGRecording(channels=("c0", "c1", "c2", "c3"), fs=1000.0,
+                       data_volts=gen.normal(scale=1e-4, size=(n, 4)))
+    out[f"condition.{n}"] = Myomonitor().condition(raw).data_volts
+band = butter_bandpass(20.0, 450.0, 1000.0, 4)
+out["filtfilt.bandpass"] = filtfilt(band.b, band.a, gen.normal(size=(4217, 4)))
 np.savez(sys.argv[1], **out)
 """
 

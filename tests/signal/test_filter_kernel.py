@@ -1,10 +1,10 @@
-"""The block-recursive section kernel against the per-sample oracle and scipy.
+"""The block-recursive cascade kernel against the per-sample oracle and scipy.
 
-Every filter the library designs, and a notch, is run through :func:`filtfilt`
-and compared with the difference-equation loop it replaced
-(``tests/signal/iir_oracle.py``) and with ``scipy.signal.filtfilt``, over 1-D,
-multi-channel and ``axis=1`` inputs whose lengths straddle the padding and the
-kernel's block length.
+Every filter the library designs, two more low-passes and a notch are run
+through :func:`filtfilt` and compared with the difference-equation loop it
+replaced (``tests/signal/iir_oracle.py``) and with ``scipy.signal.filtfilt``,
+over 1-D, multi-channel and ``axis=1`` inputs whose lengths straddle the
+padding and the kernel's block length.
 
 The tolerance was fixed before the kernel was written:
 ``max|kernel - oracle| <= 1e-8 * max|oracle|``.  One ulp of the input's peak
@@ -17,14 +17,16 @@ import numpy as np
 import pytest
 import scipy.signal as ss
 
+from repro.errors import SignalError
+from repro.signal import filters
 from repro.signal.filters import _BLOCK, IIRFilter, butter_bandpass, butter_lowpass, filtfilt
 from tests.signal import iir_oracle
 
 FS = 1000.0
 RTOL = 1e-8
 
-#: Every filter the library designs, at the settings its callers use, a
-#: 6 Hz low-pass and scipy's 60 Hz notch: a biquad with its zeros on the
+#: Every filter the library designs, at the settings its callers use, two
+#: more low-passes and scipy's 60 Hz notch: a biquad with its zeros on the
 #: unit circle.
 FILTERS = {
     # Myomonitor.condition -> downsample_to_rate(1000 Hz -> 120 Hz) anti-alias.
@@ -33,8 +35,8 @@ FILTERS = {
     "acquire-bandpass": butter_bandpass(20.0, 450.0, FS, order=4),
     # A classic EMG envelope smoothing, and the kernel's worst-agreeing filter.
     "envelope-lowpass": butter_lowpass(6.0, FS, order=4),
-    # decimate(x, 4, fs=1000) anti-alias filter.
-    "decimate-lowpass": butter_lowpass(0.8 * (FS / 4) / 2.0, FS, order=8),
+    # An order-8 low-pass at a tenth of the sampling rate.
+    "lowpass-100hz": butter_lowpass(100.0, FS, order=8),
     "notch-60hz": IIRFilter(*ss.iirnotch(60.0, 30.0, fs=FS)),
 }
 
@@ -96,4 +98,32 @@ def test_apply_matches_oracle_from_rest(name, rng):
 def test_degenerate_transfer_functions(b, a, rng):
     x = rng.normal(size=200)
     assert_close(filtfilt(b, a, x), iir_oracle.filtfilt(b, a, x), x)
+    assert_close(IIRFilter(b=b, a=a).apply(x), iir_oracle.lfilter(b, a, x), x)
+
+
+def test_plan_memo_follows_the_callers_coefficients(rng):
+    """A plan is memoized per coefficient values, not per caller array."""
+    first = butter_lowpass(100.0, FS, order=4)
+    b, a = first.b.copy(), first.a.copy()
+    x = rng.normal(size=(3 * _BLOCK + 5, 2))
+    assert_close(filtfilt(b, a, x), iir_oracle.filtfilt(b, a, x), x)
+    # The same five coefficients each, so the arrays can be reused in place.
+    other = butter_bandpass(20.0, 450.0, FS, order=2)
+    b[:], a[:] = other.b, other.a
+    assert_close(filtfilt(b, a, x), iir_oracle.filtfilt(b, a, x), x)
+    assert_close(IIRFilter(b=b, a=a).apply(x), iir_oracle.lfilter(b, a, x), x)
+    plan = filters._plan(other.b.tobytes(), other.a.tobytes())
+    for array in plan:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = 0.0
+
+
+def test_pole_at_one_raises_on_every_call_but_applies_causally(rng):
+    """No plan or memo hides the missing steady state; ``apply`` needs none."""
+    b, a = [1.0], [1.0, -1.0]  # a running sum
+    x = rng.normal(size=3 * _BLOCK + 5)
+    for _ in range(2):
+        with pytest.raises(SignalError, match="pole at z = 1"):
+            filtfilt(b, a, x)
     assert_close(IIRFilter(b=b, a=a).apply(x), iir_oracle.lfilter(b, a, x), x)

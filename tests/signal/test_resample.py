@@ -1,43 +1,10 @@
-"""Decimation and rational down-sampling."""
+"""Rational down-sampling."""
 
 import numpy as np
 import pytest
 
-from repro.errors import SignalError, ValidationError
-from repro.signal.resample import decimate, downsample_to_rate
-
-
-class TestDecimate:
-    def test_factor_one_is_copy(self, rng):
-        x = rng.normal(size=(100, 2))
-        out = decimate(x, 1, fs=1000.0)
-        np.testing.assert_array_equal(out, x)
-        assert out is not x
-
-    def test_output_length(self, rng):
-        x = rng.normal(size=(1000, 2))
-        assert decimate(x, 5, fs=1000.0).shape == (200, 2)
-
-    def test_preserves_low_frequency_content(self):
-        fs = 1000.0
-        t = np.arange(2000) / fs
-        x = np.sin(2 * np.pi * 5 * t)
-        y = decimate(x, 4, fs=fs)
-        t_out = np.arange(len(y)) * 4 / fs
-        np.testing.assert_allclose(y[50:-50], np.sin(2 * np.pi * 5 * t_out)[50:-50],
-                                   atol=0.02)
-
-    def test_removes_aliasing_content(self, rng):
-        """Content above the output Nyquist is attenuated before picking."""
-        fs = 1000.0
-        t = np.arange(4000) / fs
-        high = np.sin(2 * np.pi * 400 * t)  # far above 125 Hz output Nyquist
-        y = decimate(high, 4, fs=fs)
-        assert np.abs(y).max() < 0.05
-
-    def test_rejects_bad_factor(self, rng):
-        with pytest.raises(ValidationError):
-            decimate(rng.normal(size=100), 0, fs=1000.0)
+from repro.errors import SignalError
+from repro.signal.resample import downsample_to_rate
 
 
 class TestDownsampleToRate:
@@ -90,29 +57,6 @@ class TestDownsampleToRate:
 class TestShortAndDegenerateStreams:
     """Regression tier: the edges that used to die with raw numpy/scipy
     errors now fail (or succeed) through typed repro.errors exceptions."""
-
-    def test_decimate_empty_1d_is_typed(self):
-        with pytest.raises(SignalError, match="empty"):
-            decimate(np.zeros(0), 2, fs=100.0)
-
-    def test_decimate_empty_2d_is_typed(self):
-        with pytest.raises(SignalError, match="empty"):
-            decimate(np.zeros((0, 3)), 2, fs=100.0)
-
-    def test_decimate_rejects_3d(self, rng):
-        with pytest.raises(SignalError, match="1-D or 2-D"):
-            decimate(rng.normal(size=(4, 2, 2)), 2, fs=100.0)
-
-    def test_decimate_survives_three_frames(self):
-        # Shorter than the order-8 filter's natural pad length.
-        out = decimate(np.ones(3), 2, fs=100.0)
-        assert out.shape == (2,)
-        assert np.isfinite(out).all()
-
-    def test_decimate_odd_length_2d(self):
-        out = decimate(np.ones((5, 2)), 2, fs=100.0)
-        assert out.shape == (3, 2)
-        assert np.isfinite(out).all()
 
     def test_downsample_zero_columns_is_typed(self):
         with pytest.raises(SignalError, match="zero columns"):
