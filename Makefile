@@ -20,7 +20,7 @@ selftest:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m repro.cli selftest
 
 health:
-	PYTHONPATH=$(PYTHONPATH) $(PY) -m repro.cli health --clusters 4 --seed 0 --openmetrics-out health.om
+	PYTHONPATH=$(PYTHONPATH) $(PY) -m repro.cli health --clusters 4 --seed 0
 
 # Every example script; the first one that exits non-zero fails the target.
 examples:

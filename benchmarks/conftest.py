@@ -22,12 +22,9 @@ Protocol choices (documented in EXPERIMENTS.md):
 
 Every benchmark session also runs with observability enabled in
 aggregate-only mode (``max_spans=0`` — exact per-stage totals, no
-individual span records) and dumps the ``repro.obs/v2`` payload to
-``benchmarks/_cache/obs_metrics.json`` on exit, stamped with the git sha
-and benchmark-protocol configuration fingerprint.  The same run is also
-appended as one record to ``benchmarks/_cache/ledger.jsonl`` (label
-``pytest-benchmarks``), the history ``repro-motions bench check`` gates
-against.
+individual span records) and dumps the ``repro.obs/v3`` payload, with the
+benchmark-protocol configuration as its ``meta``, to
+``benchmarks/_cache/obs_metrics.json`` on exit.
 """
 
 from __future__ import annotations
@@ -59,18 +56,12 @@ from repro.features.combine import WindowFeaturizer  # noqa: E402
 from repro.core.model import MotionClassifier  # noqa: E402
 from repro.obs.config import configure  # noqa: E402
 from repro.obs.export import collect_payload, write_json  # noqa: E402
-from repro.obs.ledger import (  # noqa: E402
-    Ledger,
-    config_fingerprint,
-    git_sha,
-    record_from_payload,
-)
 
 CACHE_DIR = Path(__file__).parent / "_cache"
 
 
 def _benchmark_config() -> dict:
-    """The benchmark-protocol knobs, as fingerprinted configuration."""
+    """The benchmark-protocol knobs, as the payload's ``meta``."""
     return {
         "source": "benchmarks",
         "n_participants": N_PARTICIPANTS,
@@ -92,9 +83,7 @@ def _obs_session():
     ``max_spans=0`` keeps exact per-stage aggregates and counters without
     retaining individual span records; the aggregates still keep each
     span's duration, 8 B per span.  The payload lands in
-    ``benchmarks/_cache/obs_metrics.json``,
-    stamped with git sha + config fingerprint, and one ledger record is
-    appended to ``benchmarks/_cache/ledger.jsonl``.
+    ``benchmarks/_cache/obs_metrics.json``.
     """
     state = configure(enabled=True, reset=True, max_spans=0)
     try:
@@ -102,20 +91,8 @@ def _obs_session():
     finally:
         configure(enabled=False)
         CACHE_DIR.mkdir(exist_ok=True)
-        config = _benchmark_config()
-        meta = {
-            **config,
-            "git_sha": git_sha(),
-            "fingerprint": config_fingerprint(config),
-        }
-        payload = collect_payload(state, meta=meta)
+        payload = collect_payload(state, meta=_benchmark_config())
         write_json(CACHE_DIR / "obs_metrics.json", payload)
-        Ledger(CACHE_DIR / "ledger.jsonl").append(record_from_payload(
-            payload,
-            label="pytest-benchmarks",
-            sha=meta["git_sha"],
-            fingerprint=meta["fingerprint"],
-        ))
 
 #: Campaign size (per study).
 N_PARTICIPANTS = 4

@@ -8,9 +8,7 @@ least ``MIN_SPEEDUP``x faster than the scalar loop on the same machine (the
 noise-aware form of ROADMAP item 3's >=10x target: scalar is timed once,
 batched takes the best of ``N_REPEATS`` passes), re-checks byte-identity
 between the two, and records the evidence to
-``benchmarks/_cache/batched_featurize.json`` plus one ``repro.obs.ledger``
-record (label ``batched-featurize``) that ``repro-motions bench check``
-gates against on later runs.
+``benchmarks/_cache/batched_featurize.json``.
 """
 
 from __future__ import annotations
@@ -21,12 +19,6 @@ from conftest import CACHE_DIR, STRIDE_MS
 
 from repro.features.combine import WindowFeaturizer
 from repro.obs.export import write_json
-from repro.obs.ledger import (
-    LEDGER_SCHEMA,
-    Ledger,
-    config_fingerprint,
-    git_sha,
-)
 from repro.parallel.cache import FeatureCache
 from tests.features.scalar_oracle import scalar_features
 
@@ -93,23 +85,6 @@ def test_batched_cold_at_least_10x_faster_than_scalar(hand_dataset, tmp_path):
     }
     CACHE_DIR.mkdir(exist_ok=True)
     write_json(CACHE_DIR / "batched_featurize.json", artifact)
-
-    # One ledger record per run: `repro-motions bench check` gates these
-    # stage totals against their own history at this fingerprint.
-    Ledger(CACHE_DIR / "ledger.jsonl").append({
-        "schema": LEDGER_SCHEMA,
-        "label": "batched-featurize",
-        "ts": None,
-        "git_sha": git_sha(),
-        "fingerprint": config_fingerprint(config),
-        "stages": {
-            "featurize.scalar_cold": {"calls": 1, "total_s": scalar_s},
-            "featurize.batched_cold": {"calls": N_REPEATS,
-                                       "total_s": batched_s},
-            "featurize.warm_cache": {"calls": 1, "total_s": warm_s},
-        },
-        "meta": artifact,
-    })
 
     assert speedup >= MIN_SPEEDUP, (
         f"batched cold featurize only {speedup:.2f}x faster than the "

@@ -6,7 +6,7 @@ call graph and dataflow fixpoints over all of ``src/repro`` on every
 development.  This guard times an uncached end-to-end strict pass over the
 real tree, records the measurement to ``benchmarks/_cache/lint_dataflow.json``
 for trend tracking, and fails if the full pass exceeds a 10 s budget.  The
-recorded pass over 114 files took 1.35 s on a shared 2-core x86 host, where
+recorded pass over 111 files took 1.55 s on a shared 2-core x86 host, where
 passes of 1.35-2.6 s have been measured, so the budget is about 4-7x the
 current cost: it catches algorithmic regressions (accidental quadratic
 resolution, unbounded fixpoints) without flaking on machine noise.

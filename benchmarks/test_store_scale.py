@@ -9,9 +9,7 @@ global :class:`LinearScanIndex` oracle — ids and distances must be
 bit-identical, so recall@k is exactly 1.0 by construction and is
 recorded as measured evidence anyway.
 
-Timings land in ``benchmarks/_cache/store_scale.json`` plus one
-``repro.obs.ledger`` record (label ``store-scale``) that
-``repro-motions bench check`` gates against on later runs.
+Timings land in ``benchmarks/_cache/store_scale.json``.
 """
 
 from __future__ import annotations
@@ -25,12 +23,6 @@ from repro.core.model import MotionClassifier
 from repro.data.population import synthesize_population
 from repro.features.combine import WindowFeaturizer
 from repro.obs.export import write_json
-from repro.obs.ledger import (
-    LEDGER_SCHEMA,
-    Ledger,
-    config_fingerprint,
-    git_sha,
-)
 from repro.retrieval.linear import LinearScanIndex
 from repro.retrieval.shard import ShardedSignatureIndex
 from repro.retrieval.store import SignatureStore
@@ -134,21 +126,6 @@ def test_sharded_store_at_1e5_matches_linear_oracle(hand_dataset, tmp_path):
     }
     CACHE_DIR.mkdir(exist_ok=True)
     write_json(CACHE_DIR / "store_scale.json", artifact)
-    Ledger(CACHE_DIR / "ledger.jsonl").append({
-        "schema": LEDGER_SCHEMA,
-        "label": "store-scale",
-        "ts": None,
-        "git_sha": git_sha(),
-        "fingerprint": config_fingerprint(config),
-        "stages": {
-            "store.ingest": {"calls": N_SIGNATURES // BATCH_SIZE,
-                             "total_s": ingest_s},
-            "store.index_build": {"calls": 1, "total_s": build_s},
-            "store.query_batch": {"calls": 1, "total_s": query_s},
-            "store.oracle_scan": {"calls": N_QUERIES, "total_s": oracle_s},
-        },
-        "meta": artifact,
-    })
 
     assert recall_at_k == 1.0, (
         f"sharded recall@{K} is {recall_at_k:.4f} over {N_QUERIES} queries; "

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Ten subcommands cover the library's workflow without writing Python:
+Nine subcommands cover the library's workflow without writing Python:
 
 ``repro-motions build``
     Simulate a capture campaign and save it to disk.
@@ -14,18 +14,11 @@ Ten subcommands cover the library's workflow without writing Python:
 ``repro-motions profile``
     Profile one synthetic end-to-end run with observability enabled and
     report the per-stage breakdown (see docs/OBSERVABILITY.md).
-``repro-motions bench``
-    Benchmark run ledger: ``bench run`` profiles once and appends one
-    JSONL record (git sha, config fingerprint, per-stage timings and
-    quantiles); ``bench check`` gates the newest run against the
-    median-of-k history and exits nonzero on regression; ``bench list``
-    prints the history (see :mod:`repro.obs.ledger`).
 ``repro-motions health``
     Run the model-health check: fit a synthetic model, drive a query
     workload (optionally fault-injected), evaluate drift detectors and SLO
     rules, and exit 1 when critical alerts fire (see
-    :mod:`repro.obs.health`).  ``--openmetrics-out`` writes the telemetry
-    as an OpenMetrics exposition; ``--watch N`` re-runs every N seconds.
+    :mod:`repro.obs.health`).  ``--watch N`` re-runs every N seconds.
 ``repro-motions store``
     Persistent sharded signature store: ``store ingest`` synthesizes a
     seeded signature population and appends it as CRC-checked segments,
@@ -46,7 +39,7 @@ to the non-robust path.
 
 ``build`` and ``evaluate`` additionally accept ``--trace`` (print a
 per-stage timing table after the run) and ``--metrics-out PATH`` (write the
-``repro.obs/v1`` telemetry payload as JSON).
+``repro.obs/v3`` telemetry payload as JSON).
 
 Example
 -------
@@ -88,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trace", action="store_true",
                        help="print a per-stage timing table after the run")
         p.add_argument("--metrics-out", metavar="PATH", default=None,
-                       help="write the repro.obs/v1 telemetry payload as JSON")
+                       help="write the repro.obs/v3 telemetry payload as JSON")
 
     def add_parallel_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--n-jobs", type=int, default=1,
@@ -182,10 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="span ring-buffer capacity (0 = aggregates "
                              "only; default: the repro.obs default); the "
                              "stage table warns when records were dropped")
-    p_prof.add_argument("--resources", action="store_true",
-                        help="sample process resources (RSS, CPU time, GC "
-                             "counts) around each phase and export them "
-                             "under the payload's 'resources' key")
     add_parallel_flags(p_prof)
     add_robust_flag(p_prof)
 
@@ -210,9 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "[for=N]' per line (default: the stock set)")
     p_health.add_argument("--alerts-out", metavar="PATH", default=None,
                           help="append fired alerts to PATH as JSONL")
-    p_health.add_argument("--openmetrics-out", metavar="PATH", default=None,
-                          help="write the collected telemetry as an "
-                               "OpenMetrics text exposition")
     p_health.add_argument("--drift-fault",
                           choices=("none", "emg-dropout", "emg-saturation"),
                           default="none",
@@ -236,61 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="with --watch: stop after N checks "
                                "(default: run until interrupted)")
     add_robust_flag(p_health)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark run ledger: record profile runs, gate regressions",
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-
-    def add_ledger_flag(p: argparse.ArgumentParser) -> None:
-        from repro.obs.ledger import DEFAULT_LEDGER_PATH
-
-        p.add_argument("--ledger", metavar="PATH",
-                       default=DEFAULT_LEDGER_PATH,
-                       help="ledger JSONL file "
-                            f"(default: {DEFAULT_LEDGER_PATH})")
-
-    b_run = bench_sub.add_parser(
-        "run", help="profile one synthetic run and append it to the ledger"
-    )
-    b_run.add_argument("--study", choices=("hand", "leg"), default="hand")
-    b_run.add_argument("--participants", type=int, default=1)
-    b_run.add_argument("--trials", type=int, default=2,
-                       help="trials per motion class per participant")
-    b_run.add_argument("--clusters", type=int, default=8)
-    b_run.add_argument("--window-ms", type=float, default=100.0)
-    b_run.add_argument("--stride-ms", type=float, default=None)
-    b_run.add_argument("--k", type=int, default=5)
-    b_run.add_argument("--seed", type=int, default=0)
-    b_run.add_argument("--label", default="bench",
-                       help="run label recorded in the ledger "
-                            "(default: bench)")
-    add_ledger_flag(b_run)
-    add_parallel_flags(b_run)
-
-    b_check = bench_sub.add_parser(
-        "check",
-        help="gate the newest ledger run against its history "
-             "(exits 1 on regression)",
-    )
-    b_check.add_argument("--window", type=int, default=5,
-                         help="baseline size: median/MAD over the last "
-                              "WINDOW runs at the same fingerprint "
-                              "(default: 5)")
-    b_check.add_argument("--threshold-mads", type=float, default=4.0,
-                         help="noise gate in scaled MADs above the median "
-                              "(default: 4.0)")
-    b_check.add_argument("--min-rel-increase", type=float, default=0.25,
-                         help="minimum fractional slowdown to flag "
-                              "(default: 0.25 = 25%%)")
-    b_check.add_argument("--min-total-ms", type=float, default=5.0,
-                         help="ignore stages whose baseline median is "
-                              "below this many ms (default: 5)")
-    add_ledger_flag(b_check)
-
-    b_list = bench_sub.add_parser("list", help="print the ledger history")
-    add_ledger_flag(b_list)
 
     p_store = sub.add_parser(
         "store",
@@ -503,86 +434,6 @@ def _cmd_sweep(args) -> int:
                 series_to_csv(sweep_result.series(metric), value_name=suffix)
             )
             print(f"wrote {path}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.obs.ledger import (
-        Ledger,
-        check_regression,
-        format_regressions,
-        record_from_payload,
-    )
-
-    ledger = Ledger(args.ledger)
-    if args.bench_command == "run":
-        from repro.obs.profile import run_profile
-
-        payload = run_profile(
-            study=args.study,
-            participants=args.participants,
-            trials=args.trials,
-            clusters=args.clusters,
-            window_ms=args.window_ms,
-            stride_ms=args.stride_ms,
-            k=args.k,
-            seed=args.seed,
-            n_jobs=args.n_jobs,
-            cache_dir=args.cache_dir,
-        )
-        record = record_from_payload(payload, label=args.label)
-        ledger.append(record)
-        print(f"recorded run: label={record['label']} "
-              f"sha={record['git_sha']} "
-              f"fingerprint={record['fingerprint']} "
-              f"stages={len(record['stages'])}")
-        print(f"appended to {ledger.path}")
-        return 0
-    if args.bench_command == "check":
-        runs = ledger.read()
-        if not runs:
-            print(f"ledger {ledger.path} is empty; nothing to check")
-            return 0
-        current = runs[-1]
-        baseline = [r for r in runs[:-1]
-                    if r.get("fingerprint") == current.get("fingerprint")]
-        if not baseline:
-            print(f"no baseline runs at fingerprint "
-                  f"{current.get('fingerprint')}; nothing to compare")
-            return 0
-        findings = check_regression(
-            baseline, current,
-            window=args.window,
-            threshold_mads=args.threshold_mads,
-            min_rel_increase=args.min_rel_increase,
-            min_total_s=args.min_total_ms / 1000.0,
-        )
-        print(f"checked run sha={current.get('git_sha')} against "
-              f"{min(len(baseline), args.window)} baseline run(s) at "
-              f"fingerprint {current.get('fingerprint')}")
-        print(format_regressions(findings))
-        return 1 if findings else 0
-    # bench list
-    runs = ledger.read()
-    if not runs:
-        print(f"ledger {ledger.path} is empty")
-        return 0
-    rows = []
-    for i, record in enumerate(runs):
-        stages = record.get("stages", {})
-        total_s = max((float(s.get("total_s", 0.0))
-                       for s in stages.values()), default=0.0)
-        rows.append([
-            str(i),
-            str(record.get("label", "-")),
-            str(record.get("git_sha", "-")),
-            str(record.get("fingerprint", "-")),
-            str(len(stages)),
-            f"{1000.0 * total_s:.1f}",
-        ])
-    print(format_table(
-        ["#", "label", "sha", "fingerprint", "stages", "total ms"], rows
-    ))
     return 0
 
 
@@ -843,7 +694,6 @@ def _cmd_profile(args) -> int:
         cache_dir=args.cache_dir,
         robust_policy=args.robust_policy,
         max_spans=args.max_spans,
-        sample_resources=args.resources,
     )
     meta = payload["meta"]
     print(f"profiled {args.study} study: {meta['n_train']} database motions, "
@@ -867,16 +717,6 @@ def _cmd_profile(args) -> int:
         if shift:
             line += f", final membership shift {shift[-1]:.3g}"
         print(line)
-    resources = payload["resources"]
-    if resources:
-        first, last = resources[0], resources[-1]
-        print()
-        print(f"resources: peak RSS {last['rss_max_kb']:.0f} kB, "
-              f"CPU +{last['cpu_user_s'] - first['cpu_user_s']:.2f} s user "
-              f"/ +{last['cpu_system_s'] - first['cpu_system_s']:.2f} s "
-              f"system, "
-              f"{last['gc_collections'] - first['gc_collections']:.0f} GC "
-              f"collections ({len(resources)} samples)")
     path = write_json(args.output, payload)
     print(f"wrote {path}")
     return 0
@@ -893,7 +733,6 @@ def _cmd_health(args) -> int:
         parse_rules,
         run_health_check,
     )
-    from repro.obs.openmetrics import render_openmetrics
 
     rules = None
     if args.rules is not None:
@@ -922,10 +761,6 @@ def _cmd_health(args) -> int:
             detector_min_samples=args.detector_min_samples,
         )
         print(format_health_report(result))
-        if args.openmetrics_out is not None:
-            text = render_openmetrics(result.payload)
-            Path(args.openmetrics_out).write_text(text, encoding="utf-8")
-            print(f"wrote OpenMetrics exposition to {args.openmetrics_out}")
         if args.alerts_out is not None and result.alerts:
             print(f"appended {len(result.alerts)} alert(s) to "
                   f"{args.alerts_out}")
@@ -952,7 +787,6 @@ _COMMANDS = {
     "info": _cmd_info,
     "profile": _cmd_profile,
     "health": _cmd_health,
-    "bench": _cmd_bench,
     "store": _cmd_store,
     "lint": _cmd_lint,
     "selftest": _cmd_selftest,

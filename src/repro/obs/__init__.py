@@ -9,15 +9,13 @@ Zero-dependency, off-by-default telemetry for the reproduction pipeline:
 * :func:`~repro.obs.config.configure` — the one switch
   (``repro.obs.configure(enabled=True)``); every recorder accepts an
   injected :class:`~repro.obs.clock.Clock` so tests pin exact output;
-* :mod:`repro.obs.export` — the stable ``repro.obs/v1`` JSON schema and the
+* :mod:`repro.obs.export` — the stable ``repro.obs/v3`` JSON schema and the
   per-stage text breakdown used by ``repro-motions profile``.
 
 Layered on top of the telemetry primitives:
 
 * :mod:`repro.obs.drift` — fit-time baseline snapshots, per-query drift
   signals, sliding-window drift detectors and the :class:`DriftMonitor`;
-* :mod:`repro.obs.openmetrics` — OpenMetrics/Prometheus text exposition of
-  exported payloads;
 * :mod:`repro.obs.health` — SLO rules, alert sinks and the
   ``repro-motions health`` check (imported separately, like
   :mod:`repro.obs.profile`, because it drives the pipeline).
@@ -86,11 +84,6 @@ from repro.obs.names import (
     SPAN_NAMES,
     SPAN_PREFIXES,
 )
-from repro.obs.openmetrics import (
-    metric_name,
-    parse_openmetrics,
-    render_openmetrics,
-)
 from repro.obs.trace import (
     NOOP_SPAN,
     NoOpSpan,
@@ -142,9 +135,6 @@ __all__ = [
     "format_stage_table",
     "to_json",
     "write_json",
-    "metric_name",
-    "parse_openmetrics",
-    "render_openmetrics",
     "Counter",
     "Gauge",
     "Histogram",

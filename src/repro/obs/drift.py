@@ -28,8 +28,7 @@ continuous check against the model *as it was fitted*:
 * :class:`DriftMonitor` — owns the detector set, folds one
   :class:`QuerySignals` per query (thread-safe) and mirrors detector health
   into ``health.drift.<detector>`` gauges plus ``health.query.*``
-  histograms so drift state rides the normal ``repro.obs`` export and the
-  OpenMetrics exposition (:mod:`repro.obs.openmetrics`).
+  histograms so drift state rides the normal ``repro.obs`` export.
 
 Everything is deterministic: the same query sequence produces the same
 reports, so the chaos/health tests can pin exact firing behavior.
@@ -639,8 +638,7 @@ class DriftMonitor:
     observability is enabled, each observation also lands in the
     ``health.query.*`` histograms and every :meth:`reports` call refreshes
     the ``health.drift.<detector>`` status gauges (0 = ok/warming, 1 =
-    drift), which is what the OpenMetrics exposition and the SLO rules
-    engine read.
+    drift), which is what the SLO rules engine reads.
 
     Parameters
     ----------

@@ -13,7 +13,7 @@ The :class:`EventLog` is the append-only, bounded, thread-safe sink.
 Events carry an injected-clock timestamp and a monotonically increasing
 sequence number; overflow beyond ``max_events`` is counted (never silent)
 in :attr:`EventLog.dropped`, mirroring the span ring buffer.  Export is
-either embedded in the ``repro.obs/v2`` payload (``"events"`` key) or a
+either embedded in the ``repro.obs/v3`` payload (``"events"`` key) or a
 standalone JSONL stream via :func:`write_events_jsonl` — one JSON object
 per line, the shape ingestion pipelines expect.
 """

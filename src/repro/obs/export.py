@@ -1,4 +1,4 @@
-"""Exporters: the stable ``repro.obs/v2`` JSON schema and text tables.
+"""Exporters: the stable ``repro.obs/v3`` JSON schema and text tables.
 
 :func:`collect_payload` snapshots one :class:`~repro.obs.config.ObsState`
 into a plain dict with a fixed key set (see docs/OBSERVABILITY.md for the
@@ -8,10 +8,10 @@ reproducible.  The same payload shape is what ``BENCH_*.json`` benchmark
 artifacts embed under their ``"telemetry"`` key, and what
 ``benchmarks/conftest.py`` dumps to ``benchmarks/_cache/``.
 
-v2 extends v1 with exact quantiles (``p50/p95/p99`` per stage and per
+v2 extended v1 with exact quantiles (``p50/p95/p99`` per stage and per
 histogram), the provenance event log (``"events"`` / ``"events_dropped"``)
-and optional resource samples (``"resources"``); every v1 key is preserved
-unchanged, so v1 consumers read v2 payloads as-is.
+and optional resource samples (``"resources"``).  v3 drops the
+``"resources"`` key and keeps every other v2 key unchanged.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ __all__ = [
 ]
 
 #: Version tag embedded in every exported payload.
-SCHEMA_VERSION = "repro.obs/v2"
+SCHEMA_VERSION = "repro.obs/v3"
 
 
 def collect_payload(state: Optional[ObsState] = None,
                     meta: Optional[Mapping[str, Any]] = None,
-                    resources: Optional[List[Mapping[str, Any]]] = None,
                     ) -> Dict[str, Any]:
-    """Snapshot ``state`` (default: the active one) into the v2 schema.
+    """Snapshot ``state`` (default: the active one) into the v3 schema.
 
     Parameters
     ----------
@@ -47,10 +46,6 @@ def collect_payload(state: Optional[ObsState] = None,
     meta:
         Free-form run description merged under the ``"meta"`` key
         (configuration, dataset sizes, accuracy numbers...).
-    resources:
-        Optional resource samples (see :mod:`repro.obs.resources`) for the
-        ``"resources"`` key; empty by default so pinned-clock exports stay
-        byte-identical across runs.
     """
     state = state if state is not None else current_state()
     metrics = state.registry.to_dict()
@@ -72,7 +67,6 @@ def collect_payload(state: Optional[ObsState] = None,
         "series": metrics["series"],
         "events": state.events.to_dicts(),
         "events_dropped": state.events.dropped,
-        "resources": [dict(sample) for sample in resources] if resources else [],
     }
     payload["meta"] = dict(meta) if meta else {}
     return payload

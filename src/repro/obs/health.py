@@ -4,7 +4,7 @@ This module turns the passive telemetry of :mod:`repro.obs` into an active
 operational layer:
 
 * :class:`Rule` / :func:`parse_rule` — declarative SLOs over exported
-  ``repro.obs/v2`` payloads.  The text syntax is one rule per line::
+  ``repro.obs/v3`` payloads.  The text syntax is one rule per line::
 
       model.query_latency_s.p95 < 250ms severity=warning for=1
       robust.degraded_fraction < 0.1 severity=critical
@@ -223,7 +223,7 @@ def default_rules() -> List[Rule]:
 
 def resolve_metric(payload: Mapping[str, Any],
                    selector: str) -> Optional[float]:
-    """Resolve a rule selector against a ``repro.obs/v2`` payload.
+    """Resolve a rule selector against a ``repro.obs/v3`` payload.
 
     Lookup order: gauges, counters, then ``<histogram>.<field>``.  Returns
     ``None`` when nothing matches (the rule reports ``no_data`` rather than
@@ -500,8 +500,8 @@ class HealthCheckResult:
     Attributes
     ----------
     payload:
-        The collected ``repro.obs/v2`` payload (including the health
-        gauges), ready for JSON or OpenMetrics export.
+        The collected ``repro.obs/v3`` payload (including the health
+        gauges), ready for JSON export.
     drift_reports:
         Every drift detector's final report.
     rule_results:

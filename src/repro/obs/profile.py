@@ -2,7 +2,7 @@
 
 :func:`run_profile` builds a small synthetic capture campaign, fits the
 classifier and queries every held-out motion with observability enabled,
-then returns the collected ``repro.obs/v1`` payload (stages, spans, metrics,
+then returns the collected ``repro.obs/v3`` payload (stages, spans, metrics,
 FCM convergence series) plus a ``meta`` section describing the run.
 
 This module sits *above* the pipeline (it imports ``repro.core``), so it is
@@ -22,7 +22,6 @@ from repro.features.combine import WindowFeaturizer
 from repro.obs.clock import Clock
 from repro.obs.config import capture, span
 from repro.obs.export import collect_payload
-from repro.obs.resources import ResourceSampler
 
 __all__ = ["REQUIRED_STAGES", "run_profile"]
 
@@ -55,7 +54,6 @@ def run_profile(
     n_jobs: int = 1,
     cache_dir: Optional[str] = None,
     robust_policy: str = "off",
-    sample_resources: bool = False,
 ) -> Dict[str, Any]:
     """Profile one synthetic end-to-end pipeline run.
 
@@ -66,13 +64,6 @@ def run_profile(
     ``clock``.  With ``robust_policy`` other than ``"off"`` the feature path
     runs through :mod:`repro.robust` (adding ``robust.*`` spans/counters to
     the payload when degradation occurs).
-
-    With ``sample_resources`` the run takes labelled
-    :class:`~repro.obs.resources.ResourceSampler` readings around each phase
-    (``start`` / ``dataset_built`` / ``fitted`` / ``queried``) and exports
-    them under the payload's ``"resources"`` key.  Resource readings are
-    process-level and non-reproducible, so the byte-identical pinned-clock
-    guarantee only holds with sampling off (the default).
     """
     if study == "hand":
         proto = hand_protocol()
@@ -82,10 +73,6 @@ def run_profile(
         raise ValidationError(f"unknown study {study!r}; use 'hand' or 'leg'")
 
     with capture(clock=clock, max_spans=max_spans) as state:
-        sampler = (ResourceSampler(clock=state.clock)
-                   if sample_resources else None)
-        if sampler is not None:
-            sampler.sample("start")
         with span("profile.total", study=study):
             with span("profile.build_dataset", participants=participants,
                       trials=trials):
@@ -95,8 +82,6 @@ def run_profile(
                     trials_per_motion=trials,
                     seed=seed,
                 )
-            if sampler is not None:
-                sampler.sample("dataset_built")
             train, test = dataset.train_test_split(test_fraction, seed=seed)
             featurizer = WindowFeaturizer(window_ms=window_ms,
                                           stride_ms=stride_ms)
@@ -106,8 +91,6 @@ def run_profile(
                                      cache_dir=cache_dir,
                                      robust_policy=robust_policy)
             model.fit(train, seed=seed)
-            if sampler is not None:
-                sampler.sample("fitted")
             k_eff = min(k, len(train))
             true_labels, predicted = [], []
             for record in test:
@@ -115,8 +98,6 @@ def run_profile(
                 result = model.classify_with_report(record, k=k_eff)
                 true_labels.append(record.label)
                 predicted.append(result.neighbors[0].label)
-            if sampler is not None:
-                sampler.sample("queried")
         meta = {
             "study": study,
             "participants": participants,
@@ -136,8 +117,5 @@ def run_profile(
         }
         if model.feature_cache is not None:
             meta["feature_cache"] = model.feature_cache.stats.as_dict()
-        payload = collect_payload(
-            state, meta=meta,
-            resources=sampler.samples if sampler is not None else None,
-        )
+        payload = collect_payload(state, meta=meta)
     return payload

@@ -44,6 +44,14 @@ class TestRunProfile:
             assert stat["calls"] >= 1
             assert stat["total_s"] >= 0.0
 
+    def test_exported_key_set(self, payload):
+        assert payload["schema"] == "repro.obs/v3"
+        assert set(payload) == {
+            "schema", "stages", "spans", "spans_dropped", "counters",
+            "gauges", "histograms", "series", "events", "events_dropped",
+            "meta",
+        }
+
     def test_fcm_convergence_series(self, payload):
         objective = payload["series"]["fcm.objective"]
         shift = payload["series"]["fcm.membership_shift"]
@@ -128,16 +136,6 @@ class TestProvenanceInPayload:
         assert any({"query.received", "query.classified"} <= names
                    for names in by_id.values())
 
-    def test_resources_default_empty(self, payload):
-        assert payload["resources"] == []
-
-    def test_sample_resources_populates_payload(self):
-        payload = run_profile(sample_resources=True, **PROFILE_KWARGS)
-        labels = [sample["label"] for sample in payload["resources"]]
-        assert labels == ["start", "dataset_built", "fitted", "queried"]
-        assert all("rss_max_kb" in sample
-                   for sample in payload["resources"])
-
 
 class TestSpanLoss:
     def test_max_spans_surfaces_drop_count(self):
@@ -155,18 +153,6 @@ class TestSpanLoss:
         out = capsys.readouterr().out
         assert "span records dropped" in out
         assert "--max-spans" in out
-
-    def test_cli_resources_flag(self, tmp_path, capsys):
-        out_path = tmp_path / "p.json"
-        code = main([
-            "profile", "--participants", "1", "--trials", "2",
-            "--clusters", "4", "--k", "3", "--resources",
-            "-o", str(out_path),
-        ])
-        assert code == 0
-        assert "resources: peak RSS" in capsys.readouterr().out
-        payload = json.loads(out_path.read_text())
-        assert len(payload["resources"]) == 4
 
 
 class TestProfileCLI:
@@ -191,79 +177,6 @@ class TestProfileCLI:
         assert payload["schema"] == SCHEMA_VERSION
         for stage in REQUIRED_STAGES:
             assert stage in payload["stages"]
-
-
-class TestBenchCLI:
-    @staticmethod
-    def synthetic_record(scale: float) -> dict:
-        from repro.obs.ledger import record_from_payload
-
-        total = 0.2 * scale
-        return record_from_payload(
-            {
-                "stages": {"model.fit": {
-                    "calls": 1, "total_s": total, "mean_s": total,
-                    "min_s": total, "max_s": total, "p50_s": total,
-                    "p95_s": total, "p99_s": total, "errors": 0,
-                }},
-                "meta": {"study": "hand", "seed": 0},
-            },
-            sha="test000", ts=0.0,
-        )
-
-    def write_ledger(self, path, scales):
-        from repro.obs.ledger import Ledger
-
-        ledger = Ledger(path)
-        for scale in scales:
-            ledger.append(self.synthetic_record(scale))
-        return ledger
-
-    def test_run_appends_a_record(self, tmp_path, capsys):
-        ledger_path = tmp_path / "ledger.jsonl"
-        code = main([
-            "bench", "run", "--participants", "1", "--trials", "2",
-            "--clusters", "4", "--k", "3", "--ledger", str(ledger_path),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "recorded run:" in out and "fingerprint=" in out
-        from repro.obs.ledger import Ledger
-
-        records = Ledger(ledger_path).read()
-        assert len(records) == 1
-        assert "model.fit" in records[0]["stages"]
-
-    def test_check_flags_injected_slowdown(self, tmp_path, capsys):
-        ledger_path = tmp_path / "ledger.jsonl"
-        self.write_ledger(ledger_path,
-                          [1.00, 0.98, 1.03, 1.01, 0.99, 2.0])
-        code = main(["bench", "check", "--ledger", str(ledger_path)])
-        assert code == 1
-        assert "regressed" in capsys.readouterr().out
-
-    def test_check_passes_unchanged_rerun(self, tmp_path, capsys):
-        ledger_path = tmp_path / "ledger.jsonl"
-        self.write_ledger(ledger_path,
-                          [1.00, 0.98, 1.03, 1.01, 0.99, 1.0])
-        code = main(["bench", "check", "--ledger", str(ledger_path)])
-        assert code == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_check_without_baseline_passes(self, tmp_path, capsys):
-        ledger_path = tmp_path / "ledger.jsonl"
-        assert main(["bench", "check", "--ledger", str(ledger_path)]) == 0
-        assert "empty" in capsys.readouterr().out
-        self.write_ledger(ledger_path, [1.0])
-        assert main(["bench", "check", "--ledger", str(ledger_path)]) == 0
-        assert "no baseline" in capsys.readouterr().out
-
-    def test_list_prints_history(self, tmp_path, capsys):
-        ledger_path = tmp_path / "ledger.jsonl"
-        self.write_ledger(ledger_path, [1.0, 1.1])
-        assert main(["bench", "list", "--ledger", str(ledger_path)]) == 0
-        out = capsys.readouterr().out
-        assert "fingerprint" in out and "test000" in out
 
 
 class TestTraceAndMetricsFlags:

@@ -212,16 +212,17 @@ class TestRobustFlag:
         assert "--robust-policy" in capsys.readouterr().out
 
 
-#: Flags deleted with the thread backend and the lint report cache,
-#: baseline file and changed-files mode, per command.
+#: Flags deleted with the thread backend, the lint report cache, baseline
+#: file and changed-files mode, the OpenMetrics exposition and the resource
+#: sampler, per command.
 _DELETED_FLAGS = [
     (["lint"], ["--baseline", "--write-baseline", "--cache", "--changed"]),
     (["selftest"], ["--baseline", "--lint-cache"]),
     (["build"], ["--backend"]),
     (["evaluate"], ["--backend"]),
     (["sweep"], ["--backend"]),
-    (["profile"], ["--backend"]),
-    (["bench", "run"], ["--backend"]),
+    (["profile"], ["--backend", "--resources"]),
+    (["health"], ["--openmetrics-out"]),
 ]
 
 
@@ -234,6 +235,11 @@ def test_help_lists_no_deleted_flag(command, flags, capsys):
     for flag in flags:
         # "--cache" must not match "--cache-dir".
         assert not re.search(rf"{flag}(?![\w-])", out), flag
+
+
+def test_bench_subcommand_is_gone():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bench", "check"])
 
 
 def test_lint_module_help_lists_no_deleted_flag(capsys):
@@ -305,23 +311,13 @@ class TestHealthCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["health", "--drift-fault", "meteor"])
 
-    def test_clean_check_exits_0(self, tmp_path, capsys):
-        om_path = tmp_path / "health.om"
-        code = main([
-            "health", "--clusters", "4", "--seed", "0",
-            "--openmetrics-out", str(om_path),
-        ])
+    def test_clean_check_exits_0(self, capsys):
+        code = main(["health", "--clusters", "4", "--seed", "0"])
         out = capsys.readouterr().out
         assert code == 0
         assert "healthy" in out
         assert "drift detectors" in out
         assert "slo rules" in out
-        # The exposition is valid OpenMetrics and carries the health gauges.
-        from repro.obs.openmetrics import parse_openmetrics
-        families = parse_openmetrics(om_path.read_text())
-        assert "repro_health_drift_firing" in families
-        assert families["repro_health_drift_firing"]["samples"][
-            "repro_health_drift_firing"] == 0.0
 
     def test_drifted_check_exits_1_and_writes_alerts(self, tmp_path, capsys):
         alerts_path = tmp_path / "alerts.jsonl"
